@@ -51,7 +51,7 @@ def test_exhaustive_small():
 def test_random_larger():
     rng = random.Random(42)
     for _ in range(300):
-        n = rng.randint(2, 30)
+        n = rng.randint(2, 300)
         d = tuple(sorted((rng.randint(1, n - 1) for _ in range(n)), reverse=True))
         seq = DegreeSequence(d)
         h = rng.randint(1, 5)

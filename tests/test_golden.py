@@ -1,0 +1,94 @@
+"""Byte-identity pins for the inequality reports and the constructive realizers.
+
+Each test streams canonical text for a fixed corpus through SHA-256 and
+compares against a digest recorded from a known-good build.  A refactor of
+the row kernels or the realizers must leave every digest unchanged; a
+change that alters an output on purpose records the new digest with a
+reason.
+"""
+import hashlib
+import json
+import random
+
+from degmatch import (
+    DegreeSequence,
+    Matching,
+    degree_sequences,
+    doublestar_check,
+    eg_check,
+    graph_to_text,
+    hh_realize,
+    realize_matching_switchwise,
+    realize_mplus,
+    star_check,
+)
+
+REPORTS_DIGEST = "960f23ca45e0698cd85d031346380c338681670b30f1bfd9ed7c5099cdba8455"
+REALIZERS_DIGEST = "961a0f44246a4ef1fa3dc9b62decc531634c409c6f0101c1b0b0c3d9d403de99"
+
+
+def _random_sequence(rng: random.Random, n: int, lo: int) -> DegreeSequence:
+    return DegreeSequence(
+        tuple(sorted((rng.randint(lo, n - 1) for _ in range(n)), reverse=True))
+    )
+
+
+def _report_corpus():
+    for n in range(2, 9):
+        yield from degree_sequences(n)
+    rng = random.Random(2025)
+    for n in (50, 500):
+        for lo in (1, n // 4, n // 2):
+            for _ in range(4):
+                yield _random_sequence(rng, n, lo)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _report_lines():
+    for seq in _report_corpus():
+        reports = [eg_check(seq), star_check(seq)]
+        reports += [doublestar_check(seq, h) for h in (1, 2, 3)]
+        for report in reports:
+            yield json.dumps(report.as_dict(), sort_keys=True)
+
+
+def _random_perfect_matching(rng: random.Random, n: int) -> Matching:
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return Matching(n, frozenset(zip(labels[::2], labels[1::2])))
+
+
+def _realizer_lines():
+    rng = random.Random(7)
+    for n in (6, 10, 20, 40, 64):
+        made = 0
+        while made < 3:
+            seq = _random_sequence(rng, n, 1)
+            if eg_check(seq).verdict:
+                yield graph_to_text(hh_realize(seq))
+                made += 1
+    for n in (6, 10, 16, 24, 64, 128):
+        made = 0
+        while made < 3:
+            seq = _random_sequence(rng, n, n // 3)
+            if star_check(seq).verdict:
+                yield graph_to_text(realize_mplus(seq))
+                if n <= 24:
+                    m = _random_perfect_matching(rng, n)
+                    yield graph_to_text(realize_matching_switchwise(seq, m))
+                made += 1
+
+
+def test_report_stream_digest():
+    assert _digest(_report_lines()) == REPORTS_DIGEST
+
+
+def test_realizer_stream_digest():
+    assert _digest(_realizer_lines()) == REALIZERS_DIGEST
