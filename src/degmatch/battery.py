@@ -42,7 +42,7 @@ from .mplus import (
     tightness_instance,
 )
 from .packing import binding_number, pack
-from .preorder import _orbit_representatives, build_preorder
+from .preorder import build_preorder, realizability_matrix
 from .switches import (
     all_switches,
     lift_switch,
@@ -98,24 +98,11 @@ class BatteryContext:
     def oracle_matrix(
         self, n: int
     ) -> tuple[tuple[DegreeSequence, ...], tuple[Matching, ...], list[tuple[bool, ...]]]:
-        """Realizability of every matching under every sequence of length n.
-
-        One oracle call per orbit of matchings under degree-preserving label
-        swaps; the oracle is invariant under such relabelings.
-        """
+        """Realizability of every matching under every sequence of length n (cached)."""
         if n not in self._matrix:
             matchings = tuple(perfect_matchings(n))
-            index_of = {m: i for i, m in enumerate(matchings)}
             seqs = tuple(degree_sequences(n))
-            rows: list[tuple[bool, ...]] = []
-            for s in seqs:
-                row = [False] * len(matchings)
-                for orbit in _orbit_representatives(s, matchings, index_of):
-                    hit = realize_matching_oracle(s, matchings[orbit[0]]) is not None
-                    for i in orbit:
-                        row[i] = hit
-                rows.append(tuple(row))
-            self._matrix[n] = (seqs, matchings, rows)
+            self._matrix[n] = (seqs, matchings, realizability_matrix(seqs, matchings))
         return self._matrix[n]
 
 

@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from . import battery
-from .core import CheckReport, DegreeSequence, LabeledGraph, graph_to_text
+from .core import CheckReport, DegreeSequence, LabeledGraph, _pairs_text, graph_to_text
 from .errors import DegmatchError, InvalidInput, PreconditionError
 from .graphic import eg_check, lovasz_pm_check
 from .hfactor import disjoint_pms, doublestar_check, hfactor_oracle
@@ -21,7 +21,6 @@ from .packing import pack_report
 from .preorder import build_preorder, check_conjectures, hasse_dot
 from .switches import (
     matching_from_text,
-    matching_to_text,
     realize_matching_oracle,
     realize_matching_switchwise,
     switch_path,
@@ -36,11 +35,11 @@ def _parse_sequence(text: str) -> DegreeSequence:
     parts = text.replace(",", " ").split()
     if not parts:
         raise InvalidInput("empty degree sequence")
-    return DegreeSequence(tuple(int(p) for p in parts))
-
-
-def _edges_text(g: LabeledGraph) -> str:
-    return ",".join(f"{i}-{j}" for i, j in g.edge_list())
+    try:
+        entries = tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise InvalidInput(f"degree sequence {text!r} has a non-integer entry") from exc
+    return DegreeSequence(entries)
 
 
 def _emit_report(report: CheckReport, label: str, as_json: bool) -> int:
@@ -68,7 +67,7 @@ def _audit_and_print(g: LabeledGraph, seq: DegreeSequence, contains, as_json: bo
     if as_json:
         print(json.dumps({"schema": 1, "n": g.n, "edges": [list(e) for e in g.edge_list()]}))
     else:
-        print(_edges_text(g))
+        print(_pairs_text(g.edge_list()))
     return EXIT_OK
 
 
@@ -114,7 +113,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     if args.oracle:
         g = realize_matching_oracle(seq, m)
         if g is None:
-            print(f"no realization of {seq} contains {matching_to_text(m)}")
+            print(f"no realization of {seq} contains {m}")
             return EXIT_NEGATIVE
         return _audit_and_print(g, seq, m.edges, args.json)
     report = star_check(seq)
@@ -132,7 +131,7 @@ def _cmd_switch_path(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "schema": 1,
-                    "start": matching_to_text(m),
+                    "start": str(m),
                     "target": args.to,
                     "moves": [
                         {"w": mv.w, "x": mv.x, "y": mv.y, "z": mv.z, "kind": mv.kind}
@@ -232,14 +231,14 @@ def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
                 {
                     "schema": 1,
                     "realization": [list(e) for e in g.edge_list()],
-                    "matchings": [matching_to_text(m) for m in pms],
+                    "matchings": [str(m) for m in pms],
                 }
             )
         )
     else:
-        print(f"realization: {_edges_text(g)}")
+        print(f"realization: {_pairs_text(g.edge_list())}")
         for m in pms:
-            print(f"  matching: {matching_to_text(m)}")
+            print(f"  matching: {m}")
     return EXIT_OK
 
 
@@ -251,8 +250,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         print(f"hypothesis d1*d1 < n/2: {report['hypothesis']}")
         print(f"packed: {report['success']}")
         if report["success"]:
-            print("  edges1: " + ",".join(f"{a}-{b}" for a, b in report["edges1"]))
-            print("  edges2: " + ",".join(f"{a}-{b}" for a, b in report["edges2"]))
+            print(f"  edges1: {_pairs_text(report['edges1'])}")
+            print(f"  edges2: {_pairs_text(report['edges2'])}")
         else:
             print(f"  {report['note']}")
     return EXIT_OK if report["success"] else EXIT_NEGATIVE

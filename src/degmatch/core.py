@@ -61,6 +61,11 @@ class DegreeSequence:
         return "(" + ",".join(str(d) for d in self.entries) + ")"
 
 
+def _pairs_text(edges: Iterable[tuple[int, int]]) -> str:
+    """Comma-separated 'i-j' pairs in the given order, e.g. '1-2,3-4'."""
+    return ",".join(f"{i}-{j}" for i, j in edges)
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -219,7 +224,7 @@ class Matching:
         return Matching(self.n, (self.edges - removed) | added)
 
     def __str__(self) -> str:
-        return ",".join(f"{i}-{j}" for i, j in self.sorted_edges())
+        return _pairs_text(self.sorted_edges())
 
 
 @dataclass(frozen=True)
@@ -448,7 +453,9 @@ def graph_from_text(text: str) -> LabeledGraph:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidInput(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError as exc:
+            raise InvalidInput(f"malformed edge line {ln!r}") from exc
+        edges.append((u, v))
     return build_graph(n, edges)

@@ -8,80 +8,54 @@ perfect matching.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
-from typing import Sequence
+from itertools import accumulate, starmap
+from typing import Iterator, Sequence
 
 from .core import CheckReport, CheckRow, DegreeSequence, LabeledGraph, Matching
 from .errors import InvalidInput, InvariantViolation, NotGraphicError
 
 
-def _capped_tail_sum(
-    vals: Sequence[int],
-    neg_vals: list[int],
-    suffix: list[int],
-    start: int,
-    cap: int,
-) -> int:
-    """Sum of min(vals[i], cap) over i in [start, len(vals)).
+def _family_rows(entries: Sequence[int], h: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (k, lhs, rhs) of the h-factor family on weakly decreasing entries.
 
-    vals must be weakly decreasing; neg_vals is [-v for v in vals] (ascending)
-    and suffix[i] = sum(vals[i:]).  Entries may be negative; they are used
-    as-is (min with a nonnegative cap keeps them).
+    h=0 is Erdos-Gallai and h=1 the consecutive-pairs family.  With
+    e_i = d_i - h and s = k mod (h+1), row k reads
+
+      sum(d_i, i<=k) <= k(k-1) + sum(min(e_i, k), i>k)
+                     + sum(min(e_i + s, k) - min(e_i, k), i in (k, k+1+h-s])
+
+    with ranges clamped to n; negative e_i are used as-is.
     """
-    n = len(vals)
-    if start >= n:
-        return 0
-    ge = bisect_right(neg_vals, -cap)  # number of entries >= cap
-    capped = max(0, ge - start)
-    tail = max(start, ge)
-    return cap * capped + suffix[tail]
-
-
-def _prepare(entries: Sequence[int], shift: int) -> tuple[list[int], list[int], list[int]]:
-    vals = [d - shift for d in entries]
-    neg = [-v for v in vals]
-    suffix = [0] * (len(vals) + 1)
-    for i in range(len(vals) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
-    return vals, neg, suffix
-
-
-def _eg_rows(entries: Sequence[int]) -> tuple[CheckRow, ...]:
-    """Erdos-Gallai rows for a weakly decreasing, non-negative sequence."""
     n = len(entries)
-    _, neg, suffix = _prepare(entries, 0)
-    rows = []
+    e = [d - h for d in entries]
+    suffix = list(accumulate(reversed(e), initial=0))[::-1]  # suffix[i] = sum(e[i:])
+    ge = n  # #{i : e_i >= k}; only shrinks as k grows
     lhs = 0
     for k in range(1, n + 1):
         lhs += entries[k - 1]
-        rhs = k * (k - 1) + _capped_tail_sum(entries, neg, suffix, k, k)
-        rows.append(CheckRow(k, lhs, rhs))
-    return tuple(rows)
+        while ge and e[ge - 1] < k:
+            ge -= 1
+        if ge > k:
+            rhs = k * (k - 1) + k * (ge - k) + suffix[ge]
+        else:
+            rhs = k * (k - 1) + suffix[k]
+        s = k % (h + 1)
+        if s:
+            for x in e[k : k + 1 + h - s]:
+                if x < k:
+                    rhs += min(x + s, k) - x
+        yield k, lhs, rhs
 
 
 def eg_check(seq: DegreeSequence) -> CheckReport:
     """Erdos-Gallai test: graphic iff the degree sum is even and every row holds."""
-    rows = _eg_rows(seq.entries)
     return CheckReport(
         family="EG",
-        rows=rows,
+        rows=tuple(starmap(CheckRow, _family_rows(seq.entries, 0))),
         parity_ok=seq.total() % 2 == 0,
         structural_ok=True,
     )
-
-
-def _eg_passes(entries: Sequence[int]) -> bool:
-    """Verdict-only EG test for weakly decreasing non-negative entries."""
-    if sum(entries) % 2:
-        return False
-    _, neg, suffix = _prepare(entries, 0)
-    lhs = 0
-    for k in range(1, len(entries) + 1):
-        lhs += entries[k - 1]
-        if lhs > k * (k - 1) + _capped_tail_sum(entries, neg, suffix, k, k):
-            return False
-    return True
 
 
 def hh_realize(seq: DegreeSequence) -> LabeledGraph:
@@ -131,7 +105,10 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
     """
     if seq.n % 2:
         return False
-    return _eg_passes(seq.entries) and _eg_passes(seq.decremented())
+    return all(
+        sum(e) % 2 == 0 and all(lhs <= rhs for _, lhs, rhs in _family_rows(e, 0))
+        for e in (seq.entries, seq.decremented())
+    )
 
 
 # ---------------------------------------------------------------------------

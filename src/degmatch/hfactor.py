@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .graphic import _capped_tail_sum, _eg_passes, _prepare, f_factor
+from .graphic import _family_rows, f_factor
 
 
 def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
@@ -45,26 +45,11 @@ def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
     """
     if h < 1:
         raise InvalidInput(f"regularity h must be >= 1, got {h}")
-    entries = seq.entries
-    n = seq.n
-    shifted = [d - h for d in entries]
-    _, neg, suffix = _prepare(entries, h)
-    rows = []
-    lhs = 0
-    for k in range(1, n + 1):
-        lhs += entries[k - 1]
-        s = k % (h + 1)
-        first_end = min(k + 1 + h - s, n)  # 1-indexed inclusive
-        rhs = k * (k - 1)
-        for i in range(k + 1, first_end + 1):
-            rhs += min(entries[i - 1] - h + s, k)
-        rhs += _capped_tail_sum(shifted, neg, suffix, first_end, k)
-        rows.append(CheckRow(k, lhs, rhs))
     return CheckReport(
         family="DOUBLESTAR",
-        rows=tuple(rows),
+        rows=tuple(itertools.starmap(CheckRow, _family_rows(seq.entries, h))),
         parity_ok=seq.total() % 2 == 0,
-        structural_ok=n % (h + 1) == 0,
+        structural_ok=seq.n % (h + 1) == 0,
         h=h,
     )
 
@@ -432,7 +417,9 @@ def enumerate_realizations(
                 residual[v - 1] -= 1
             residual[u - 1] = 0
             tail = sorted((residual[v - 1] for v in range(u + 1, n + 1)), reverse=True)
-            if _eg_passes(tail):
+            if sum(tail) % 2 == 0 and all(
+                lhs <= rhs for _, lhs, rhs in _family_rows(tail, 0)
+            ):
                 edges.extend((u, v) for v in chosen)
                 rec(u + 1)
                 del edges[len(edges) - need :]
@@ -508,11 +495,6 @@ def common_realizable_two_factors(
         if all(two_factor_realizable(s, tf) for s in seqs[1:])
     ]
     return sorted(keep, key=lambda tf: tf.edge_list())
-
-
-def factor_to_text(factor: SpanningFactor) -> str:
-    """Edge-list text for a spanning factor, e.g. '1-2,1-3,2-3'."""
-    return ",".join(f"{i}-{j}" for i, j in factor.edge_list())
 
 
 def conjecture_scan(h: int, n: int) -> list[dict]:

@@ -9,7 +9,10 @@ exact integer arithmetic only; no verdict ever touches floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import starmap
+from operator import neg
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .core import (
     canonical_matching,
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError
-from .graphic import _capped_tail_sum, _prepare, eg_check
+from .graphic import _family_rows, eg_check
 
 
 def star_check(seq: DegreeSequence) -> CheckReport:
@@ -34,27 +37,15 @@ def star_check(seq: DegreeSequence) -> CheckReport:
 
     The k=n row has empty tail sums and reads sum(d) <= n(n-1).
     """
-    entries = seq.entries
-    n = seq.n
-    _, neg, suffix = _prepare(entries, 1)
-    shifted = [d - 1 for d in entries]
-    rows = []
-    lhs = 0
-    for k in range(1, n + 1):
-        lhs += entries[k - 1]
-        rhs = k * (k - 1) + _capped_tail_sum(shifted, neg, suffix, k, k)
-        if k % 2 and k < n and entries[k] <= k:
-            # odd k uses min(d_{k+1}, k) instead of min(d_{k+1} - 1, k)
-            rhs += 1
-        rows.append(CheckRow(k, lhs, rhs))
     return CheckReport(
         family="STAR",
-        rows=tuple(rows),
+        rows=tuple(starmap(CheckRow, _family_rows(seq.entries, 1))),
         parity_ok=seq.total() % 2 == 0,
-        structural_ok=n % 2 == 0,
+        structural_ok=seq.n % 2 == 0,
     )
 
 
+# Numpy twin of _family_rows(d, 1), kept because a Python pass is several times slower at large n
 def _star_min_slack(d: np.ndarray) -> int:
     """Minimum slack over all rows of the star inequality family.
 
@@ -77,30 +68,6 @@ def _star_min_slack(d: np.ndarray) -> int:
     nxt[n - 1] = np.iinfo(np.int64).max  # k=n row has no d_{k+1} term
     rhs += (odd & (nxt <= ks)).astype(np.int64)
     return int((rhs - lhs).min())
-
-
-def _last_index_ge(d: list[int], value: int) -> int:
-    """Largest 0-based index with d[i] >= value, or -1 (d weakly decreasing)."""
-    lo, hi = 0, len(d)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if d[mid] >= value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
-
-
-def _first_index_le(d: list[int], value: int) -> int:
-    """Smallest 0-based index with d[i] <= value (d weakly decreasing)."""
-    lo, hi = 0, len(d)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if d[mid] > value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _terminal_edges(d: tuple[int, ...]) -> tuple[set[tuple[int, int]], str] | None:
@@ -201,8 +168,8 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
     terminal: str | None = None
     edges: set[tuple[int, int]]
     while total > n:
-        p0 = _last_index_ge(d, 2)
-        j = _first_index_le(d, d[0] - 1)
+        p0 = bisect_right(d, -2, key=neg) - 1  # last entry >= 2
+        j = bisect_left(d, 1 - d[0], key=neg)  # first entry <= d[0] - 1
         t0 = p0 - 1 if j > p0 else j - 1
         d[t0] -= 1
         d[p0] -= 1

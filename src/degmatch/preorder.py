@@ -9,6 +9,7 @@ Hasse rendering collapses mutually comparable matchings into one node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import DegreeSequence, Matching, canonical_matching, degree_sequences, perfect_matchings
 from .errors import InvalidInput
@@ -85,6 +86,26 @@ def _orbit_representatives(
     return list(groups.values())
 
 
+def realizability_matrix(
+    seqs: Sequence[DegreeSequence], matchings: tuple[Matching, ...]
+) -> list[tuple[bool, ...]]:
+    """Oracle realizability of every matching (columns) under every sequence (rows).
+
+    One oracle call per orbit of matchings under degree-preserving label
+    swaps; the oracle is invariant under such relabelings.
+    """
+    index_of = {m: i for i, m in enumerate(matchings)}
+    rows = []
+    for seq in seqs:
+        row = [False] * len(matchings)
+        for orbit in _orbit_representatives(seq, matchings, index_of):
+            hit = realize_matching_oracle(seq, matchings[orbit[0]]) is not None
+            for idx in orbit:
+                row[idx] = hit
+        rows.append(tuple(row))
+    return rows
+
+
 def build_preorder(n: int) -> PreorderTable:
     """Score all matchings against all perfect-matching-feasible sequences."""
     if n % 2 or not 2 <= n <= PREORDER_LIMIT:
@@ -94,16 +115,7 @@ def build_preorder(n: int) -> PreorderTable:
     matchings = tuple(perfect_matchings(n))
     index_of = {m: i for i, m in enumerate(matchings)}
     sequences = tuple(s for s in degree_sequences(n) if lovasz_pm_check(s))
-
-    realizable_rows: list[tuple[bool, ...]] = []
-    for seq in sequences:
-        row = [False] * len(matchings)
-        for orbit in _orbit_representatives(seq, matchings, index_of):
-            hit = realize_matching_oracle(seq, matchings[orbit[0]]) is not None
-            for idx in orbit:
-                row[idx] = hit
-        realizable_rows.append(tuple(row))
-    realizable = tuple(realizable_rows)
+    realizable = tuple(realizability_matrix(sequences, matchings))
 
     size = len(matchings)
     leq_rows = []

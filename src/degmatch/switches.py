@@ -25,21 +25,17 @@ from .mplus import realize_mplus
 logger = logging.getLogger(__name__)
 
 
-def matching_to_text(m: Matching) -> str:
-    """Comma-separated 'i-j' pairs in sorted order, e.g. '1-2,3-4'."""
-    return ",".join(f"{i}-{j}" for i, j in m.sorted_edges())
-
-
 def matching_from_text(text: str, n: int | None = None) -> Matching:
     """Parse 'i-j,k-l' matching text; overlapping endpoints are rejected."""
     pairs = []
     for part in text.replace(" ", "").split(","):
         if not part:
             continue
-        bits = part.split("-")
-        if len(bits) != 2:
-            raise InvalidInput(f"malformed matching edge {part!r}")
-        pairs.append((int(bits[0]), int(bits[1])))
+        try:
+            u, v = map(int, part.split("-"))
+        except ValueError as exc:
+            raise InvalidInput(f"malformed matching edge {part!r}") from exc
+        pairs.append((u, v))
     if not pairs:
         raise InvalidInput("empty matching text")
     size = n if n is not None else max(max(p) for p in pairs)

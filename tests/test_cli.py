@@ -128,6 +128,13 @@ def test_check_json_schema(capsys):
 def test_invalid_input_is_usage_error(capsys):
     assert run(["check-graphic", "4,3,2,1"]) == 2  # first entry exceeds n-1
     assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["check-graphic", "3,a,2"],
+        ["switch-path", "1-x", "--to", "plus"],
+        ["realize", "1-2,3-4", "2,2,x,1"],
+    ):
+        assert run(argv) == 2  # non-integer token
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_command():

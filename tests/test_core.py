@@ -186,3 +186,5 @@ class TestSerialization:
             graph_from_text("3\n1 2 3\n")
         with pytest.raises(InvalidInput):
             graph_from_text("3\n1 1\n")
+        with pytest.raises(InvalidInput):
+            graph_from_text("3\n1 x\n")

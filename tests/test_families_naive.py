@@ -1,6 +1,6 @@
 """Pin the fast row builders against literal, naive evaluations.
 
-The library computes tail sums with prefix arrays and binary search; these
+The library computes tail sums with suffix sums and a moving pointer; these
 tests recompute every row with transparent O(n^2) loops written straight
 from the definitions.
 """

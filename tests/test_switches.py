@@ -17,7 +17,6 @@ from degmatch import (
     degree_sequences,
     lift_switch,
     matching_from_text,
-    matching_to_text,
     perfect_matchings,
     phi,
     realize_matching_oracle,
@@ -225,10 +224,10 @@ class TestOracle:
 class TestMatchingText:
     def test_round_trip(self):
         m = Matching(6, {(1, 6), (2, 4), (3, 5)})
-        assert matching_from_text(matching_to_text(m)) == m
+        assert matching_from_text(str(m)) == m
 
     def test_format(self):
-        assert matching_to_text(M1) == "1-4,2-3"
+        assert str(M1) == "1-4,2-3"
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInput):
