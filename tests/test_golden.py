@@ -16,8 +16,14 @@ from degmatch import (
     degree_sequences,
     doublestar_check,
     eg_check,
+    InvariantViolation,
+    LabeledGraph,
+    all_switches,
+    complete_graph,
     graph_to_text,
     hh_realize,
+    lift_switch,
+    perfect_matchings,
     realize_matching_switchwise,
     realize_mplus,
     star_check,
@@ -25,6 +31,7 @@ from degmatch import (
 
 REPORTS_DIGEST = "960f23ca45e0698cd85d031346380c338681670b30f1bfd9ed7c5099cdba8455"
 REALIZERS_DIGEST = "961a0f44246a4ef1fa3dc9b62decc531634c409c6f0101c1b0b0c3d9d403de99"
+LIFT_DIGEST = "2355af43de5bc33330d1c16d9e6e69d3c5fb904619f72d09b9564f69a3d8f9c3"
 
 
 def _random_sequence(rng: random.Random, n: int, lo: int) -> DegreeSequence:
@@ -86,9 +93,36 @@ def _realizer_lines():
                 made += 1
 
 
+def _lift_outputs():
+    """lift_switch on every supergraph of every perfect matching, n = 4 and 6.
+
+    Supergraphs are the matching plus each subset of the remaining edges,
+    by ascending bit mask over the sorted free edges; a refused lift
+    yields 'refused'.
+    """
+    for n in (4, 6):
+        for m in perfect_matchings(n):
+            free = sorted(complete_graph(n).edges - m.edges)
+            for mask in range(1 << len(free)):
+                extra = {e for i, e in enumerate(free) if mask >> i & 1}
+                g = LabeledGraph(n, m.edges | extra)
+                for _, move in all_switches(m):
+                    try:
+                        yield graph_to_text(lift_switch(g, m, move))
+                    except InvariantViolation:
+                        yield "refused\n"
+
+
 def test_report_stream_digest():
     assert _digest(_report_lines()) == REPORTS_DIGEST
 
 
 def test_realizer_stream_digest():
     assert _digest(_realizer_lines()) == REALIZERS_DIGEST
+
+
+def test_lift_stream_digest():
+    h = hashlib.sha256()
+    for text in _lift_outputs():
+        h.update(text.encode())
+    assert h.hexdigest() == LIFT_DIGEST
