@@ -60,6 +60,14 @@ def _emit_report(report: CheckReport, label: str, as_json: bool) -> int:
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
+def _emit_verdict(label: str, verdict: bool, text: str, as_json: bool) -> int:
+    if as_json:
+        print(json.dumps({"schema": 1, "check": label, "verdict": verdict}))
+    else:
+        print(text)
+    return EXIT_OK if verdict else EXIT_NEGATIVE
+
+
 def _audit_and_print(g: LabeledGraph, seq: DegreeSequence, contains, as_json: bool) -> int:
     if g.degree_vector() != seq.entries or not (contains <= g.edges):
         print("internal audit failed", file=sys.stderr)
@@ -78,16 +86,13 @@ def _cmd_check_graphic(args: argparse.Namespace) -> int:
 def _cmd_check_pm(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
     verdict = lovasz_pm_check(seq)
-    if args.json:
-        print(json.dumps({"schema": 1, "check": "perfect-matching", "verdict": verdict}))
-    else:
-        print(f"perfect-matching: {'pass' if verdict else 'fail'}")
-        if seq.n % 2:
-            print("  n is odd")
-        elif not verdict:
-            which = "original" if not eg_check(seq).verdict else "decremented"
-            print(f"  the {which} sequence is not graphic")
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+    lines = [f"perfect-matching: {'pass' if verdict else 'fail'}"]
+    if seq.n % 2:
+        lines.append("  n is odd")
+    elif not verdict:
+        which = "original" if not eg_check(seq).verdict else "decremented"
+        lines.append(f"  the {which} sequence is not graphic")
+    return _emit_verdict("perfect-matching", verdict, "\n".join(lines), args.json)
 
 
 def _cmd_check_mplus(args: argparse.Namespace) -> int:
@@ -110,16 +115,13 @@ def _cmd_realize_mplus(args: argparse.Namespace) -> int:
 def _cmd_realize(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
     m = matching_from_text(args.matching, n=seq.n)
-    if args.oracle:
+    if star_check(seq).verdict:
+        g = realize_matching_switchwise(seq, m)
+    else:
         g = realize_matching_oracle(seq, m)
-        if g is None:
-            print(f"no realization of {seq} contains {m}")
-            return EXIT_NEGATIVE
-        return _audit_and_print(g, seq, m.edges, args.json)
-    report = star_check(seq)
-    if not report.verdict:
-        return _emit_report(report, "consecutive-matching", args.json)
-    g = realize_matching_switchwise(seq, m)
+    if g is None:
+        text = f"no realization of {seq} contains {m}"
+        return _emit_verdict("matching", False, text, args.json)
     return _audit_and_print(g, seq, m.edges, args.json)
 
 
@@ -190,13 +192,9 @@ def _cmd_tightness(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    seq = _parse_sequence(args.sequence)
-    holds = corollary_bound_holds(seq)
-    if args.json:
-        print(json.dumps({"schema": 1, "check": "half-sum-bound", "verdict": holds}))
-    else:
-        print(f"half-sum bound: {'holds' if holds else 'does not hold'}")
-    return EXIT_OK if holds else EXIT_NEGATIVE
+    holds = corollary_bound_holds(_parse_sequence(args.sequence))
+    text = f"half-sum bound: {'holds' if holds else 'does not hold'}"
+    return _emit_verdict("half-sum-bound", holds, text, args.json)
 
 
 def _cmd_hfactor_check(args: argparse.Namespace) -> int:
@@ -211,8 +209,8 @@ def _cmd_hfactor_realize(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
     g = hfactor_oracle(seq, args.h)
     if g is None:
-        print(f"no realization of {seq} contains the canonical {args.h}-factor")
-        return EXIT_NEGATIVE
+        text = f"no realization of {seq} contains the canonical {args.h}-factor"
+        return _emit_verdict(f"h-factor({args.h})", False, text, args.json)
     from .core import canonical_h_factor
 
     return _audit_and_print(g, seq, canonical_h_factor(seq.n, args.h).edges, args.json)
@@ -223,8 +221,8 @@ def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
     try:
         g, pms = disjoint_pms(seq, args.h)
     except PreconditionError as exc:
-        print(f"not constructible: {exc}")
-        return EXIT_NEGATIVE
+        text = f"not constructible: {exc}"
+        return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
     if args.json:
         print(
             json.dumps(
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="realize an arbitrary labelled matching")
     p.add_argument("matching", help="e.g. 1-4,2-3")
     p.add_argument("sequence")
-    p.add_argument("--oracle", action="store_true", help="use the exact f-factor oracle")
     p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("switch-path", help="walk a matching to a canonical one")

@@ -290,3 +290,22 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
     if out.degree_vector() != tuple(f):
         raise InvariantViolation("f-factor gadget produced wrong degrees")
     return out
+
+
+def _realize_containing(
+    seq: DegreeSequence, fixed_edges: frozenset[tuple[int, int]], h: int
+) -> LabeledGraph | None:
+    """A realization of seq containing the fixed h-regular spanning edges, or None.
+
+    Exact: the complement of the fixed edges must have a spanning subgraph
+    with degrees d_i - h; its union with them is the audited witness.
+    """
+    if seq.entries[-1] < h:
+        return None
+    rest = f_factor(LabeledGraph(seq.n, fixed_edges).complement(), seq.decremented(h))
+    if rest is None:
+        return None
+    out = LabeledGraph(seq.n, rest.edges | fixed_edges)
+    if out.degree_vector() != seq.entries:
+        raise InvariantViolation("fixed-subgraph oracle witness degree audit failed")
+    return out

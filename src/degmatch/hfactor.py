@@ -21,7 +21,6 @@ from .core import (
     Matching,
     SpanningFactor,
     canonical_h_factor,
-    complete_graph,
 )
 from .errors import (
     InvalidInput,
@@ -29,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .graphic import _family_rows, f_factor
+from .graphic import _family_rows, _realize_containing
 
 
 def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
@@ -65,17 +64,7 @@ def hfactor_oracle(seq: DegreeSequence, h: int) -> LabeledGraph | None:
         raise InvalidInput(f"regularity h must be >= 1, got {h}")
     if n % (h + 1):
         raise PreconditionError(f"(h+1)={h + 1} must divide n={n}")
-    if seq.entries[-1] < h:
-        return None
-    factor = canonical_h_factor(n, h)
-    host = LabeledGraph(n, complete_graph(n).edges - factor.edges)
-    rest = f_factor(host, seq.decremented(h))
-    if rest is None:
-        return None
-    out = LabeledGraph(n, rest.edges | factor.edges)
-    if out.degree_vector() != seq.entries:
-        raise InvariantViolation("h-factor oracle witness degree audit failed")
-    return out
+    return _realize_containing(seq, canonical_h_factor(n, h).edges, h)
 
 
 def near_one_factorization(m: int) -> list[Matching]:
@@ -468,10 +457,7 @@ def two_factor_realizable(seq: DegreeSequence, factor: SpanningFactor) -> bool:
     """Whether some realization of seq contains the given labelled 2-factor."""
     if factor.n != seq.n:
         raise InvalidInput("factor and sequence sizes differ")
-    if seq.entries[-1] < 2:
-        return False
-    host = LabeledGraph(seq.n, complete_graph(seq.n).edges - factor.edges)
-    return f_factor(host, seq.decremented(2)) is not None
+    return _realize_containing(seq, factor.edges, 2) is not None
 
 
 def common_realizable_two_factors(

@@ -8,21 +8,16 @@ f-factor oracle decides realizability of any matching for cross-validation.
 """
 from __future__ import annotations
 
-import logging
-
 from .core import (
     DegreeSequence,
     LabeledGraph,
     Matching,
     SwitchMove,
     canonical_matching,
-    complete_graph,
 )
-from .errors import InvalidInput, InvariantViolation, PreconditionError
-from .graphic import f_factor
+from .errors import InvalidInput, InvariantViolation, PreconditionError, ResourceLimitError
+from .graphic import _realize_containing
 from .mplus import realize_mplus
-
-logger = logging.getLogger(__name__)
 
 
 def matching_from_text(text: str, n: int | None = None) -> Matching:
@@ -126,23 +121,27 @@ def switch_step(
     return None
 
 
-def _walk(m: Matching, direction: str) -> tuple[Matching, list[tuple[Matching, SwitchMove]]]:
-    """Iterate switch_step to exhaustion; returns (final matching, step log)."""
+def _walk(m: Matching, direction: str) -> list[SwitchMove]:
+    """Moves of switch_step iterated from m to the canonical end of `direction`.
+
+    Measured walks are at most C(n/2, 2) steps (exhaustively for n <= 12, and
+    plus to minus up to n = 96); past n^2 steps ResourceLimitError is raised.
+    """
     guard = m.n * m.n
     current = m
-    log: list[tuple[Matching, SwitchMove]] = []
+    moves: list[SwitchMove] = []
     while True:
         step = switch_step(current, direction)
         if step is None:
-            return current, log
+            break
         current, move = step
-        log.append((current, move))
-        if len(log) == guard + 1:
-            logger.warning(
-                "switch path from %s exceeded the empirical n^2 guard (%d steps)",
-                m,
-                guard,
-            )
+        moves.append(move)
+        if len(moves) > guard:
+            raise ResourceLimitError(f"switch walk from {m} exceeded n^2 = {guard} steps")
+    expected = canonical_matching(m.n, "minus" if direction == "down" else "plus")
+    if current != expected:
+        raise InvariantViolation(f"switch walk from {m} ended at {current}")
+    return moves
 
 
 def switch_path(m: Matching, target: str) -> list[SwitchMove]:
@@ -154,14 +153,7 @@ def switch_path(m: Matching, target: str) -> list[SwitchMove]:
     """
     if target not in ("plus", "minus"):
         raise InvalidInput(f"target must be 'plus' or 'minus', got {target!r}")
-    direction = "down" if target == "minus" else "up"
-    final, log = _walk(m, direction)
-    expected = canonical_matching(m.n, target)
-    if final != expected:
-        raise InvariantViolation(
-            f"switch walk from {m} terminated at {final}, not {expected}"
-        )
-    return [move for _, move in log]
+    return _walk(m, "down" if target == "minus" else "up")
 
 
 def all_switches(m: Matching) -> list[tuple[Matching, SwitchMove]]:
@@ -188,17 +180,61 @@ def all_switches(m: Matching) -> list[tuple[Matching, SwitchMove]]:
     return out
 
 
-def _smallest_q(
-    g: LabeledGraph, anchor: int, avoid: int, extra_forbidden: tuple[int, ...]
-) -> int | None:
-    """Smallest q adjacent to `anchor`, not adjacent to and distinct from `avoid`."""
-    banned = set(extra_forbidden) | {avoid}
-    cands = [
-        q
-        for q in g.neighbors(anchor)
-        if q not in banned and not g.has_edge(q, avoid)
-    ]
-    return min(cands) if cands else None
+def _swap(adj: list[set[int]], gone, new) -> None:
+    """Remove the present edges `gone`, then add the absent edges `new`."""
+    for u, v in gone:
+        adj[u].remove(v)
+        adj[v].remove(u)
+    for u, v in new:
+        if v in adj[u]:
+            raise InvariantViolation(f"lift would add the existing edge ({u},{v})")
+        adj[u].add(v)
+        adj[v].add(u)
+
+
+def _lift(adj: list[set[int]], move: SwitchMove) -> None:
+    """Carry one switch through the adjacency in place, keeping every degree.
+
+    A type-3 switch is lifted as type 1, then type 2.  Otherwise, let t(v)
+    be the partner of v in the removed matching edges.  If both added edges
+    are present nothing changes; if both are missing, the removed edges are
+    swapped for them.  If one added edge is missing, name its endpoints so
+    that p < t = t(s), take q the smallest neighbour of p outside N[t], and
+    turn (s,t),(p,q) into (p,s),(t,q).  Weakly decreasing degrees guarantee
+    q; its absence raises InvariantViolation.
+    """
+    if move.kind == 3:
+        for kind in (1, 2):
+            _lift(adj, SwitchMove(move.w, move.x, move.y, move.z, kind))
+        return
+    removed = move.removed()
+    if any(v not in adj[u] for u, v in removed):
+        raise PreconditionError(f"{move} removes an edge absent from the host graph")
+    missing = [(a, b) for a, b in move.added() if b not in adj[a]]
+    if not missing:
+        return
+    if len(missing) == 2:
+        _swap(adj, removed, missing)
+        return
+    (a, b), = missing
+    partner = {u: v for e in removed for u, v in (e, e[::-1])}  # t(v)
+    p, s = (a, b) if a < partner[b] else (b, a)
+    t = partner[s]
+    q = min((v for v in adj[p] if v != t and v not in adj[t]), default=None)
+    if q is None:
+        raise InvariantViolation(f"no repair vertex for {move} at {p}")
+    _swap(adj, ((s, t), (p, q)), ((p, s), (t, q)))
+
+
+def _adjacency(g: LabeledGraph) -> list[set[int]]:
+    return [set()] + [set(g.neighbors(v)) for v in range(1, g.n + 1)]
+
+
+def _graph(adj: list[set[int]]) -> LabeledGraph:
+    return LabeledGraph(
+        len(adj) - 1,
+        frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v),
+    )
 
 
 def lift_switch(g: LabeledGraph, m: Matching, move: SwitchMove) -> LabeledGraph:
@@ -213,49 +249,9 @@ def lift_switch(g: LabeledGraph, m: Matching, move: SwitchMove) -> LabeledGraph:
     if not m.edges <= g.edges:
         raise PreconditionError("matching is not contained in the host graph")
     n_match = m.apply_move(move)
-    w, x, y, z = move.w, move.x, move.y, move.z
-
-    if move.kind == 3:
-        # a type-3 switch factors through type 1 followed by type 2
-        first = SwitchMove(w, x, y, z, 1)
-        middle = m.apply_move(first)
-        lifted = lift_switch(g, m, first)
-        return lift_switch(lifted, middle, SwitchMove(w, x, y, z, 2))
-
-    if move.kind == 1:
-        new_a, new_b = (w, y), (x, z)
-    else:
-        new_a, new_b = (w, z), (x, y)
-    has_a = g.has_edge(*new_a)
-    has_b = g.has_edge(*new_b)
-
-    if has_a and has_b:
-        out = g
-    elif not has_a and not has_b:
-        out = g.replace_edges(remove=move.removed(), add=move.added())
-    elif move.kind == 1:
-        if has_a:  # (w,y) in g, (x,z) missing: alternate x-z-y-q
-            q = _smallest_q(g, anchor=x, avoid=y, extra_forbidden=())
-            if q is None:
-                raise InvariantViolation(f"no repair vertex for {move} at x={x}")
-            out = g.replace_edges(remove=[(x, q), (y, z)], add=[(x, z), (y, q)])
-        else:  # (x,z) in g, (w,y) missing: alternate w-y-z-q
-            q = _smallest_q(g, anchor=w, avoid=z, extra_forbidden=())
-            if q is None:
-                raise InvariantViolation(f"no repair vertex for {move} at w={w}")
-            out = g.replace_edges(remove=[(w, q), (y, z)], add=[(w, y), (z, q)])
-    else:
-        if has_a:  # (w,z) in g, (x,y) missing: alternate x-y-q-z
-            q = _smallest_q(g, anchor=y, avoid=z, extra_forbidden=())
-            if q is None:
-                raise InvariantViolation(f"no repair vertex for {move} at y={y}")
-            out = g.replace_edges(remove=[(y, q), (x, z)], add=[(x, y), (z, q)])
-        else:  # (x,y) in g, (w,z) missing: alternate w-z-x... via q at w
-            q = _smallest_q(g, anchor=w, avoid=x, extra_forbidden=(z,))
-            if q is None:
-                raise InvariantViolation(f"no repair vertex for {move} at w={w}")
-            out = g.replace_edges(remove=[(w, q), (x, z)], add=[(w, z), (x, q)])
-
+    adj = _adjacency(g)
+    _lift(adj, move)
+    out = _graph(adj)
     if out.degree_vector() != g.degree_vector():
         raise InvariantViolation(f"lift of {move} changed the degree vector")
     if not n_match.edges <= out.edges:
@@ -267,16 +263,17 @@ def realize_matching_switchwise(seq: DegreeSequence, m: Matching) -> LabeledGrap
     """A realization of seq containing the arbitrary perfect matching m.
 
     Builds the consecutive-pairs realization first, then replays the switch
-    walk from m upwards in reverse, lifting each switch through the graph.
+    walk from m upwards in reverse, lifting each switch through one mutable
+    adjacency; the result is audited once at the end.
     """
     if m.n != seq.n:
         raise InvalidInput("matching and sequence sizes differ")
     if not m.is_perfect:
         raise PreconditionError("target matching must be perfect")
-    g = realize_mplus(seq)
-    _, log = _walk(m, "up")
-    for after, move in reversed(log):
-        g = lift_switch(g, after, move)
+    adj = _adjacency(realize_mplus(seq))
+    for move in reversed(_walk(m, "up")):
+        _lift(adj, move)
+    g = _graph(adj)
     if not m.edges <= g.edges:
         raise InvariantViolation(f"switchwise realization lost {m}")
     if g.degree_vector() != seq.entries:
@@ -297,11 +294,4 @@ def realize_matching_oracle(
         raise InvalidInput("matching and sequence sizes differ")
     if not m.is_perfect:
         raise PreconditionError("oracle target matching must be perfect")
-    host = LabeledGraph(seq.n, complete_graph(seq.n).edges - m.edges)
-    rest = f_factor(host, seq.decremented())
-    if rest is None:
-        return None
-    out = LabeledGraph(seq.n, rest.edges | m.edges)
-    if out.degree_vector() != seq.entries:
-        raise InvariantViolation("oracle witness degree audit failed")
-    return out
+    return _realize_containing(seq, m.edges, 1)

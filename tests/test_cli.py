@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from degmatch import degree_sequences, perfect_matchings, realize_matching_oracle
 from degmatch.cli import run
 
 
@@ -43,8 +44,32 @@ def test_realize_switchwise(capsys):
 
 
 def test_realize_oracle_flag(capsys):
-    assert run(["realize", "1-4,2-3", "3,2,2,1", "--oracle"]) == 0
-    assert run(["realize", "1-2,3-4", "2,2,1,1", "--oracle"]) == 1
+    # STAR fails on both sequences, so realize answers through the oracle
+    assert run(["realize", "1-4,2-3", "3,2,2,1"]) == 0
+    assert run(["realize", "1-2,3-4", "2,2,1,1"]) == 1
+
+
+def test_realize_exit_code_matches_oracle_up_to_n6(capsys):
+    for n in (2, 4, 6):
+        for seq in degree_sequences(n):
+            text = ",".join(map(str, seq))
+            for m in perfect_matchings(n):
+                expected = 1 if realize_matching_oracle(seq, m) is None else 0
+                assert run(["realize", str(m), text]) == expected, (str(m), text)
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["realize", "1-2,3-4", "2,2,1,1"], "matching"),
+        (["hfactor-realize", "2", "5,5,2,2,2,2"], "h-factor(2)"),
+        (["disjoint-pms", "2", "5,5,2,2,2,2"], "disjoint-pms(2)"),
+    ],
+)
+def test_json_negatives(capsys, argv, label):
+    assert run(["--json", *argv]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"schema": 1, "check": label, "verdict": False}
 
 
 def test_switch_path(capsys):

@@ -1,13 +1,16 @@
 import random
+from math import comb
 
 import pytest
 
+import degmatch.switches
 from degmatch import (
     DegreeSequence,
     InvalidInput,
     InvariantViolation,
     LabeledGraph,
     Matching,
+    ResourceLimitError,
     SwitchMove,
     all_switches,
     build_graph,
@@ -95,7 +98,7 @@ class TestSwitchPath:
         for m in perfect_matchings(n):
             down = switch_path(m, "minus")
             up = switch_path(m, "plus")
-            assert len(down) <= n * n and len(up) <= n * n
+            assert len(down) <= comb(n // 2, 2) and len(up) <= comb(n // 2, 2)
             # replay the down walk forward
             cur = m
             for move in down:
@@ -106,6 +109,12 @@ class TestSwitchPath:
             for move in reversed(up):
                 cur = cur.apply_move(move)
             assert cur == m
+
+    def test_walk_past_n_squared_steps_is_refused(self, monkeypatch):
+        move = SwitchMove(1, 2, 3, 4, 1)
+        monkeypatch.setattr(degmatch.switches, "switch_step", lambda m, d: (m, move))
+        with pytest.raises(ResourceLimitError):
+            switch_path(M3, "minus")
 
 
 class TestPhiLemma:
