@@ -1,4 +1,5 @@
-"""Byte-identity pins for the inequality reports and the constructive realizers.
+"""Byte-identity pins for the inequality reports, the constructive realizers
+and the switch calculus.
 
 Each test streams canonical text for a fixed corpus through SHA-256 and
 compares against a digest recorded from a known-good build.  A refactor of
@@ -19,6 +20,7 @@ from degmatch import (
     InvariantViolation,
     LabeledGraph,
     all_switches,
+    classify_switch,
     complete_graph,
     graph_to_text,
     hh_realize,
@@ -27,11 +29,13 @@ from degmatch import (
     realize_matching_switchwise,
     realize_mplus,
     star_check,
+    switch_path,
 )
 
 REPORTS_DIGEST = "960f23ca45e0698cd85d031346380c338681670b30f1bfd9ed7c5099cdba8455"
 REALIZERS_DIGEST = "961a0f44246a4ef1fa3dc9b62decc531634c409c6f0101c1b0b0c3d9d403de99"
 LIFT_DIGEST = "2355af43de5bc33330d1c16d9e6e69d3c5fb904619f72d09b9564f69a3d8f9c3"
+SWITCH_DIGEST = "5d0ae3ca6d44255d2c7237e8116cc43039eec952ed9f4e7f7c284fa8b7f1080f"
 
 
 def _random_sequence(rng: random.Random, n: int, lo: int) -> DegreeSequence:
@@ -113,6 +117,26 @@ def _lift_outputs():
                         yield "refused\n"
 
 
+def _switch_lines():
+    """The walks and single switches of a matching corpus, then classify_switch.
+
+    The corpus is every perfect matching with n <= 10, then seeded random
+    ones at n = 40 and 96.  classify_switch runs on every ordered pair of
+    perfect matchings at n = 6 and 8.
+    """
+    corpus = [m for n in range(2, 11, 2) for m in perfect_matchings(n)]
+    rng = random.Random(11)
+    corpus += [_random_perfect_matching(rng, n) for n in (40, 96) for _ in range(3)]
+    for m in corpus:
+        yield f"{m} plus " + " ".join(map(str, switch_path(m, "plus")))
+        yield f"{m} minus " + " ".join(map(str, switch_path(m, "minus")))
+        yield f"{m} all " + " ".join(f"{mv}:{nm}" for nm, mv in all_switches(m))
+    for n in (6, 8):
+        ms = list(perfect_matchings(n))
+        for a in ms:
+            yield " ".join(str(classify_switch(a, b)) for b in ms)
+
+
 def test_report_stream_digest():
     assert _digest(_report_lines()) == REPORTS_DIGEST
 
@@ -126,3 +150,7 @@ def test_lift_stream_digest():
     for text in _lift_outputs():
         h.update(text.encode())
     assert h.hexdigest() == LIFT_DIGEST
+
+
+def test_switch_stream_digest():
+    assert _digest(_switch_lines()) == SWITCH_DIGEST
