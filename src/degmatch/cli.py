@@ -358,7 +358,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0,) else EXIT_OK
     try:
         return args.fn(args)
-    except DegmatchError as exc:
+    except (DegmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

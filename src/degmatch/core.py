@@ -116,25 +116,6 @@ class LabeledGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def replace_edges(
-        self,
-        remove: Iterable[tuple[int, int]] = (),
-        add: Iterable[tuple[int, int]] = (),
-    ) -> "LabeledGraph":
-        """Functional update; removed edges must exist, added must not."""
-        es = set(self.edges)
-        for u, v in remove:
-            e = _normalize_edge(u, v)
-            if e not in es:
-                raise InvalidInput(f"cannot remove absent edge {e}")
-            es.remove(e)
-        for u, v in add:
-            e = _normalize_edge(u, v)
-            if e in es:
-                raise InvalidInput(f"cannot add existing edge {e}")
-            es.add(e)
-        return LabeledGraph(self.n, frozenset(es))
-
     def complement(self) -> "LabeledGraph":
         full = {(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)}
         return LabeledGraph(self.n, frozenset(full - self.edges))
@@ -192,20 +173,6 @@ class Matching:
             seen.add(i)
             seen.add(j)
 
-    @cached_property
-    def _partner(self) -> dict[int, int]:
-        p: dict[int, int] = {}
-        for i, j in self.edges:
-            p[i] = j
-            p[j] = i
-        return p
-
-    def partner(self, v: int) -> int | None:
-        return self._partner.get(v)
-
-    def covered(self) -> frozenset[int]:
-        return frozenset(self._partner)
-
     @property
     def is_perfect(self) -> bool:
         return 2 * len(self.edges) == self.n
@@ -250,23 +217,16 @@ class SpanningFactor:
                 f"not {self.h}-regular: vertices {bad} have wrong degree"
             )
 
-    def to_graph(self) -> LabeledGraph:
-        return LabeledGraph(self.n, self.edges)
-
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
 
-# Switch type tables.  A switch acts on four vertices w < x < y < z and
-# replaces one pairing of them by another:
-#   type 1:  {(w,x),(y,z)} -> {(w,y),(x,z)}
-#   type 2:  {(w,y),(x,z)} -> {(w,z),(x,y)}
-#   type 3:  {(w,x),(y,z)} -> {(w,z),(x,y)}
-_SWITCH_TABLE = {
-    1: (((0, 1), (2, 3)), ((0, 2), (1, 3))),
-    2: (((0, 2), (1, 3)), ((0, 3), (1, 2))),
-    3: (((0, 1), (2, 3)), ((0, 3), (1, 2))),
-}
+# The three pairings of four vertices w < x < y < z, as positions in
+# (w, x, y, z), and each switch type as (source pairing, target pairing):
+#   0 disjoint {(w,x),(y,z)}   1 crossing {(w,y),(x,z)}   2 nested {(w,z),(x,y)}
+#   type 1: 0 -> 1             type 2: 1 -> 2             type 3: 0 -> 2
+_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+_SWITCH_KINDS = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -285,18 +245,16 @@ class SwitchMove:
         if self.kind not in (1, 2, 3):
             raise InvalidInput(f"unknown switch type {self.kind}")
 
-    def _verts(self) -> tuple[int, int, int, int]:
-        return (self.w, self.x, self.y, self.z)
+    def _pairing_edges(self, index: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        v = (self.w, self.x, self.y, self.z)
+        (a, b), (c, d) = _PAIRINGS[index]
+        return ((v[a], v[b]), (v[c], v[d]))
 
     def removed(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        v = self._verts()
-        (a, b), (c, d) = _SWITCH_TABLE[self.kind][0]
-        return ((v[a], v[b]), (v[c], v[d]))
+        return self._pairing_edges(_SWITCH_KINDS[self.kind][0])
 
     def added(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        v = self._verts()
-        (a, b), (c, d) = _SWITCH_TABLE[self.kind][1]
-        return ((v[a], v[b]), (v[c], v[d]))
+        return self._pairing_edges(_SWITCH_KINDS[self.kind][1])
 
     def __str__(self) -> str:
         return f"switch{self.kind}({self.w},{self.x},{self.y},{self.z})"

@@ -48,6 +48,11 @@ def _family_rows(entries: Sequence[int], h: int) -> Iterator[tuple[int, int, int
         yield k, lhs, rhs
 
 
+def _family_holds(entries: Sequence[int], h: int) -> bool:
+    """Whether every row of _family_rows(entries, h) holds; parity is not checked."""
+    return all(lhs <= rhs for _, lhs, rhs in _family_rows(entries, h))
+
+
 def eg_check(seq: DegreeSequence) -> CheckReport:
     """Erdos-Gallai test: graphic iff the degree sum is even and every row holds."""
     return CheckReport(
@@ -106,8 +111,7 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
     if seq.n % 2:
         return False
     return all(
-        sum(e) % 2 == 0 and all(lhs <= rhs for _, lhs, rhs in _family_rows(e, 0))
-        for e in (seq.entries, seq.decremented())
+        sum(e) % 2 == 0 and _family_holds(e, 0) for e in (seq.entries, seq.decremented())
     )
 
 

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .graphic import _family_rows, _realize_containing
+from .graphic import _family_holds, _family_rows, _realize_containing
 
 
 def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
@@ -406,9 +406,7 @@ def enumerate_realizations(
                 residual[v - 1] -= 1
             residual[u - 1] = 0
             tail = sorted((residual[v - 1] for v in range(u + 1, n + 1)), reverse=True)
-            if sum(tail) % 2 == 0 and all(
-                lhs <= rhs for _, lhs, rhs in _family_rows(tail, 0)
-            ):
+            if sum(tail) % 2 == 0 and _family_holds(tail, 0):
                 edges.extend((u, v) for v in chosen)
                 rec(u + 1)
                 del edges[len(edges) - need :]

@@ -1,18 +1,31 @@
 """The switch calculus on perfect matchings.
 
-classify_switch / switch_step / switch_path walk any perfect matching to the
-consecutive-pairs maximum or the nested minimum; lift_switch transports a
-switch to a degree-preserving edit of a host graph, which yields the
-switchwise realizer for arbitrary labelled matchings.  An independent
-f-factor oracle decides realizability of any matching for cross-validation.
+A switch replaces two matching edges on vertices w < x < y < z by another
+pairing of the same four vertices: disjoint {(w,x),(y,z)}, crossing
+{(w,y),(x,z)} or nested {(w,z),(x,y)}.  Type 1 goes disjoint -> crossing,
+type 2 crossing -> nested and type 3 disjoint -> nested (core._SWITCH_KINDS).
+
+classify_switch / all_switches read that table.  A walk step rewires the
+smallest edge pair in the far pairing, else the smallest crossing pair, into
+the target pairing: down to the nested minimum the far pairing is disjoint
+and the target nested; up to the consecutive-pairs maximum, the reverse.
+switch_path walks on one sorted edge list.  lift_switch transports a switch
+to a degree-preserving edit of a host graph, which yields the switchwise
+realizer for arbitrary labelled matchings.  An independent f-factor oracle
+decides realizability of any matching for cross-validation.
 """
 from __future__ import annotations
 
+from bisect import insort
+from itertools import combinations
+
 from .core import (
+    _SWITCH_KINDS,
     DegreeSequence,
     LabeledGraph,
     Matching,
     SwitchMove,
+    _pairs_text,
     canonical_matching,
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError, ResourceLimitError
@@ -37,38 +50,67 @@ def matching_from_text(text: str, n: int | None = None) -> Matching:
     return Matching(size, frozenset(pairs))
 
 
+def _pairing(e1: tuple[int, int], e2: tuple[int, int]) -> int:
+    """Pairing index of vertex-disjoint edges e1 < e2: 0 disjoint, 1 crossing, 2 nested."""
+    b, (c, d) = e1[1], e2
+    return 0 if b < c else 2 if d < b else 1
+
+
+# (source pairing, target pairing) -> switch type
+_KIND_OF = {pairs: kind for kind, pairs in _SWITCH_KINDS.items()}
+
+
 def classify_switch(m: Matching, n: Matching) -> int | None:
     """Type (1, 2 or 3) of the move m -> n, or None if n is not a switch of m.
 
-    A switch exists exactly when the symmetric difference is a single
-    4-cycle on vertices w < x < y < z matching one of the type tables.
+    A switch exists exactly when m and n differ in two edges on the same
+    four vertices, and the pairing of m's edges goes to the pairing of n's
+    edges as one of the switch types prescribes.
     """
     if m.n != n.n:
         raise InvalidInput(f"matchings live on different vertex sets: {m.n} vs {n.n}")
-    gone = m.edges - n.edges
-    new = n.edges - m.edges
+    gone = sorted(m.edges - n.edges)
+    new = sorted(n.edges - m.edges)
     if len(gone) != 2 or len(new) != 2:
         return None
-    verts = sorted({v for e in gone | new for v in e})
-    if len(verts) != 4:
+    if {v for e in gone for v in e} != {v for e in new for v in e}:
         return None
-    w, x, y, z = verts
-    for kind in (1, 2, 3):
-        move = SwitchMove(w, x, y, z, kind)
-        if set(move.removed()) == gone and set(move.added()) == new:
-            return kind
-    return None
+    return _KIND_OF.get((_pairing(*gone), _pairing(*new)))
 
 
-def _interval_relation(e1: tuple[int, int], e2: tuple[int, int]) -> str:
-    """'disjoint', 'nested' or 'crossing' for vertex-disjoint intervals e1 < e2."""
-    a, b = e1
-    c, d = e2
-    if b < c:
-        return "disjoint"
-    if d < b:
-        return "nested"
-    return "crossing"
+def _step(edges: list[tuple[int, int]], direction: str) -> SwitchMove | None:
+    """One canonical walk step on a sorted perfect-matching edge list, in place.
+
+    The step rewires the smallest edge pair in the far pairing, else the
+    smallest crossing pair, into the target pairing: down, far = disjoint and
+    target = nested (types 3 and 2); up, far = nested and target = disjoint
+    (types 3 and 1, read in reverse).  Returns the move, which maps the old
+    list forward onto the new one going down and the new onto the old going
+    up, or None when no such pair is left.
+    """
+    down = direction == "down"
+    far, target = (0, 2) if down else (2, 0)
+    crossing = None
+    for pair in combinations(edges, 2):
+        source = _pairing(*pair)
+        if source == far:
+            break
+        if source == 1 and crossing is None:
+            crossing = pair
+    else:
+        if crossing is None:
+            return None
+        pair, source = crossing, 1
+    kind = _KIND_OF[(source, target) if down else (target, source)]
+    move = SwitchMove(*sorted(pair[0] + pair[1]), kind)
+    gone, new = (move.removed(), move.added()) if down else (move.added(), move.removed())
+    for e in gone:
+        if e not in edges:
+            raise InvariantViolation(f"walk step {move} misses the edge {e}")
+        edges.remove(e)
+    for e in new:
+        insort(edges, e)
+    return move
 
 
 def switch_step(
@@ -76,71 +118,44 @@ def switch_step(
 ) -> tuple[Matching, SwitchMove] | None:
     """One canonical step towards the nested ('down') or consecutive ('up') matching.
 
-    down: the lexicographically smallest disjoint edge pair is rewired by a
-    type-3 switch; failing that, the smallest crossing pair by a type-2
-    switch.  None is returned exactly on the nested matching.
+    down: the smallest disjoint edge pair is rewired to nested by a type-3
+    switch; failing that, the smallest crossing pair by a type-2 switch.
+    None is returned exactly on the nested matching.
 
-    up: mirrored with nested pairs (reversing type 3) preferred over crossing
-    pairs (reversing type 1); None exactly on the consecutive-pairs matching.
-    The returned move maps the *new* matching forward onto the input.
+    up: the smallest nested pair is rewired to disjoint (reversing type 3);
+    failing that, the smallest crossing pair (reversing type 1).  None is
+    returned exactly on the consecutive-pairs matching.  The returned move
+    maps the *new* matching forward onto the input.
     """
     if not m.is_perfect:
         raise PreconditionError("switch steps are defined on perfect matchings")
     if direction not in ("down", "up"):
         raise InvalidInput(f"direction must be 'down' or 'up', got {direction!r}")
     edges = m.sorted_edges()
-    preferred, fallback = (
-        ("disjoint", "crossing") if direction == "down" else ("nested", "crossing")
-    )
-    for wanted in (preferred, fallback):
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
-                if _interval_relation(e1, e2) != wanted:
-                    continue
-                a, b = e1
-                c, d = e2
-                if direction == "down":
-                    if wanted == "disjoint":  # (w,x),(y,z) -> type 3
-                        move = SwitchMove(a, b, c, d, 3)
-                    else:  # crossing (w,y),(x,z) -> type 2
-                        move = SwitchMove(a, c, b, d, 2)
-                    return m.apply_move(move), move
-                # up: the new matching carries {(w,x),(y,z)}
-                if wanted == "nested":  # m has (w,z),(x,y): reverse type 3
-                    move = SwitchMove(a, c, d, b, 3)
-                else:  # m has (w,y),(x,z): reverse type 1
-                    move = SwitchMove(a, c, b, d, 1)
-                prev = Matching(
-                    m.n,
-                    (m.edges - {e1, e2}) | set(move.removed()),
-                )
-                if prev.apply_move(move) != m:
-                    raise InvariantViolation("up-step reversal check failed")
-                return prev, move
-    return None
+    move = _step(edges, direction)
+    if move is None:
+        return None
+    return Matching(m.n, frozenset(edges)), move
 
 
 def _walk(m: Matching, direction: str) -> list[SwitchMove]:
-    """Moves of switch_step iterated from m to the canonical end of `direction`.
+    """Moves of _step iterated from m to the canonical end of `direction`.
 
     Measured walks are at most C(n/2, 2) steps (exhaustively for n <= 12, and
     plus to minus up to n = 96); past n^2 steps ResourceLimitError is raised.
     """
+    if not m.is_perfect:
+        raise PreconditionError("switch steps are defined on perfect matchings")
     guard = m.n * m.n
-    current = m
+    edges = m.sorted_edges()
     moves: list[SwitchMove] = []
-    while True:
-        step = switch_step(current, direction)
-        if step is None:
-            break
-        current, move = step
+    while (move := _step(edges, direction)) is not None:
         moves.append(move)
         if len(moves) > guard:
             raise ResourceLimitError(f"switch walk from {m} exceeded n^2 = {guard} steps")
     expected = canonical_matching(m.n, "minus" if direction == "down" else "plus")
-    if current != expected:
-        raise InvariantViolation(f"switch walk from {m} ended at {current}")
+    if edges != expected.sorted_edges():
+        raise InvariantViolation(f"switch walk from {m} ended at {_pairs_text(edges)}")
     return moves
 
 
@@ -159,23 +174,15 @@ def switch_path(m: Matching, target: str) -> list[SwitchMove]:
 def all_switches(m: Matching) -> list[tuple[Matching, SwitchMove]]:
     """Every matching obtainable from m by a single switch, with its move.
 
-    For each pair of matching edges on vertices w < x < y < z, the pairing
-    {(w,x),(y,z)} admits switches of types 1 and 3, the crossing pairing
-    {(w,y),(x,z)} admits type 2, and the nested pairing admits none.
+    Each pair of matching edges admits the switch types whose source is its
+    pairing: disjoint admits types 1 and 3, crossing type 2, nested none.
     """
     out: list[tuple[Matching, SwitchMove]] = []
-    edges = m.sorted_edges()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            rel = _interval_relation(edges[i], edges[j])
-            a, b = edges[i]
-            c, d = edges[j]
-            if rel == "disjoint":
-                for kind in (1, 3):
-                    move = SwitchMove(a, b, c, d, kind)
-                    out.append((m.apply_move(move), move))
-            elif rel == "crossing":
-                move = SwitchMove(a, c, b, d, 2)
+    for e1, e2 in combinations(m.sorted_edges(), 2):
+        source = _pairing(e1, e2)
+        for kind, (src, _) in _SWITCH_KINDS.items():
+            if src == source:
+                move = SwitchMove(*sorted(e1 + e2), kind)
                 out.append((m.apply_move(move), move))
     return out
 

@@ -162,6 +162,12 @@ def test_invalid_input_is_usage_error(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    assert run(["preorder", "4", "--dot", str(dot)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_command():
     assert run(["frobnicate"]) == 2
 

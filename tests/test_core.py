@@ -57,15 +57,6 @@ class TestBuildGraph:
         with pytest.raises(InvalidInput):
             build_graph(3, [(1, 4)])
 
-    def test_replace_edges(self):
-        g = build_graph(4, [(1, 2), (3, 4)])
-        h = g.replace_edges(remove=[(1, 2)], add=[(1, 3)])
-        assert h.edge_list() == [(1, 3), (3, 4)]
-        with pytest.raises(InvalidInput):
-            g.replace_edges(remove=[(1, 3)])
-        with pytest.raises(InvalidInput):
-            g.replace_edges(add=[(3, 4)])
-
 
 class TestCanonicalMatchings:
     def test_plus_minus_on_four(self):

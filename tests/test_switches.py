@@ -112,7 +112,7 @@ class TestSwitchPath:
 
     def test_walk_past_n_squared_steps_is_refused(self, monkeypatch):
         move = SwitchMove(1, 2, 3, 4, 1)
-        monkeypatch.setattr(degmatch.switches, "switch_step", lambda m, d: (m, move))
+        monkeypatch.setattr(degmatch.switches, "_step", lambda edges, d: move)
         with pytest.raises(ResourceLimitError):
             switch_path(M3, "minus")
 
