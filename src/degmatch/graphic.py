@@ -118,6 +118,10 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
 # ---------------------------------------------------------------------------
 # Unweighted maximum matching in general graphs (blossom contraction).
 # Array-based BFS formulation; all scratch state is per-invocation.
+# A contraction costs O(|blossom|) plus the two tree paths it walks: only
+# the members of the marked bases are relabelled.  Their newly reached
+# nodes are enqueued in ascending index order, the order of a full scan
+# over all nodes, so the search and its output are byte-identical to it.
 # ---------------------------------------------------------------------------
 
 
@@ -135,28 +139,29 @@ def _find_and_augment(n: int, adj: list[list[int]], match: list[int], root: int)
     """Grow an alternating tree from `root`; augment if an exposed vertex is hit."""
     parent = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}  # base -> its blossom's nodes, once contracted
     used = [False] * n
     used[root] = True
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, marked: set[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            marked.add(base[v])
+            marked.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -169,15 +174,21 @@ def _find_and_augment(n: int, adj: list[list[int]], match: list[int], root: int)
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 # odd cycle: contract the blossom at the common base
                 cur_base = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur_base, to, in_blossom)
-                mark_path(to, cur_base, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                marked: set[int] = set()
+                mark_path(v, cur_base, to, marked)
+                mark_path(to, cur_base, v, marked)
+                blossom = members.pop(cur_base, [cur_base])
+                reached = []
+                for b in marked:
+                    for i in members.pop(b, (b,)):
                         base[i] = cur_base
+                        blossom.append(i)
                         if not used[i]:
                             used[i] = True
-                            queue.append(i)
+                            reached.append(i)
+                members[cur_base] = blossom
+                reached.sort()
+                queue.extend(reached)
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
