@@ -44,6 +44,7 @@ from .mplus import (
 from .packing import binding_number, pack
 from .preorder import build_preorder, realizability_matrix
 from .switches import (
+    _moves,
     all_switches,
     lift_switch,
     realize_matching_oracle,
@@ -252,11 +253,11 @@ def _c06(ctx: BatteryContext) -> tuple[bool, str]:
     hits = 0
     while hits < rounds:
         m = _random_perfect_matching(40, rng)
-        switches = all_switches(m)
-        if not switches:
+        moves = _moves(m)
+        if not moves:
             continue
-        nm, move = rng.choice(switches)
-        if not phi(nm) < phi(m):
+        move = rng.choice(moves)
+        if not phi(m.apply_move(move)) < phi(m):
             return False, f"phi did not drop for random {move}"
         hits += 1
 

@@ -171,20 +171,24 @@ def switch_path(m: Matching, target: str) -> list[SwitchMove]:
     return _walk(m, "down" if target == "minus" else "up")
 
 
-def all_switches(m: Matching) -> list[tuple[Matching, SwitchMove]]:
-    """Every matching obtainable from m by a single switch, with its move.
+def _moves(m: Matching) -> list[SwitchMove]:
+    """Every single switch of m, in all_switches order.
 
     Each pair of matching edges admits the switch types whose source is its
     pairing: disjoint admits types 1 and 3, crossing type 2, nested none.
     """
-    out: list[tuple[Matching, SwitchMove]] = []
+    out: list[SwitchMove] = []
     for e1, e2 in combinations(m.sorted_edges(), 2):
         source = _pairing(e1, e2)
         for kind, (src, _) in _SWITCH_KINDS.items():
             if src == source:
-                move = SwitchMove(*sorted(e1 + e2), kind)
-                out.append((m.apply_move(move), move))
+                out.append(SwitchMove(*sorted(e1 + e2), kind))
     return out
+
+
+def all_switches(m: Matching) -> list[tuple[Matching, SwitchMove]]:
+    """Every matching obtainable from m by a single switch, with its move."""
+    return [(m.apply_move(move), move) for move in _moves(m)]
 
 
 def _swap(adj: list[set[int]], gone, new) -> None:
