@@ -7,6 +7,7 @@ from degmatch import (
     DegreeSequence,
     InvalidInput,
     LabeledGraph,
+    Matching,
     NotGraphicError,
     build_graph,
     complete_graph,
@@ -139,6 +140,91 @@ class TestMaxMatching:
             assert len(got.edges) == max_matching_size_brute(g)
 
 
+def _is_matching_of(m, g: LabeledGraph) -> bool:
+    return m.edges <= g.edges and len({v for e in m.edges for v in e}) == 2 * len(m.edges)
+
+
+def _triangle_chain(k: int) -> LabeledGraph:
+    """k triangles, each joined to the next by one edge."""
+    edges = []
+    for t in range(k):
+        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        edges += [(a, b), (a, c), (b, c)]
+        if t:
+            edges.append((3 * t, a))
+    return build_graph(3 * k, edges)
+
+
+def _odd_cycles_on_a_path(lengths: list[int], path: int) -> LabeledGraph:
+    """Odd cycles, consecutive ones joined by a path of `path` edges."""
+    edges, nxt, prev = [], 1, None
+    for length in lengths:
+        cycle = list(range(nxt, nxt + length))
+        nxt += length
+        edges += [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+        if prev is not None:
+            inner = list(range(nxt, nxt + path - 1))
+            nxt += path - 1
+            walk = [prev] + inner + [cycle[0]]
+            edges += list(zip(walk, walk[1:]))
+        prev = cycle[-1]
+    return build_graph(nxt - 1, edges)
+
+
+def _petersen_copies(k: int) -> LabeledGraph:
+    """k Petersen graphs, copy t joined to copy t+1 by one edge."""
+    base = _petersen().edge_list()
+    edges = [(u + 10 * t, v + 10 * t) for t in range(k) for u, v in base]
+    edges += [(10 * t + 1, 10 * t + 16) for t in range(k - 1)]
+    return build_graph(10 * k, edges)
+
+
+class TestMaxMatchingAgainstNetworkx:
+    """Blossom matching size against networkx's independent implementation."""
+
+    @staticmethod
+    def _check(g: LabeledGraph, relabellings: int = 8) -> None:
+        """Check g and seeded random relabellings of it.
+
+        Relabelling moves the greedy start away from the optimum, so the
+        blossom search has augmenting paths through odd cycles to find.
+        """
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(g.n)
+        for r in range(relabellings + 1):
+            perm = list(range(1, g.n + 1))
+            if r:
+                rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edge_list()])
+            ref = nx.Graph()
+            ref.add_nodes_from(range(1, h.n + 1))
+            ref.add_edges_from(h.edge_list())
+            got = max_matching(h)
+            assert _is_matching_of(got, h)
+            assert len(got.edges) == len(nx.max_weight_matching(ref, maxcardinality=True))
+
+    @pytest.mark.parametrize("n", [20, 31, 45, 64, 90, 120])
+    def test_random_graphs(self, n):
+        rng = random.Random(n)
+        for p in (1.5 / n, 3.0 / n, 0.1, 0.4):
+            pool = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            self._check(LabeledGraph(n, frozenset(e for e in pool if rng.random() < p)))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 33])
+    def test_triangle_chains(self, k):
+        self._check(_triangle_chain(k))
+
+    @pytest.mark.parametrize("lengths,path", [
+        ([3, 5], 1), ([3, 3, 3], 2), ([5, 7, 9, 3], 3), ([7] * 6, 4), ([3, 9, 5, 11, 3], 1),
+    ])
+    def test_odd_cycles_joined_by_a_path(self, lengths, path):
+        self._check(_odd_cycles_on_a_path(lengths, path))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_petersen_copies(self, k):
+        self._check(_petersen_copies(k))
+
+
 class TestFFactor:
     def test_k4_perfect_matching(self):
         out = f_factor(complete_graph(4), (1, 1, 1, 1))
@@ -193,3 +279,16 @@ class TestFFactor:
             degs = host.degree_vector()
             f = tuple(rng.randint(0, d) for d in degs)
             assert (f_factor(host, f) is not None) == f_factor_exists_brute(host, f)
+
+    def test_oracle_all_half_at_n80(self):
+        # a size regression: the blossom search here once took about 30 s
+        n = 80
+        rng = random.Random(80)
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        m = Matching(n, frozenset(zip(labels[::2], labels[1::2])))
+        seq = DegreeSequence((n // 2,) * n)
+        g = realize_matching_oracle(seq, m)
+        assert g is not None
+        assert m.edges <= g.edges
+        assert g.degree_vector() == seq.entries
