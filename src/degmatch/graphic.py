@@ -145,7 +145,7 @@ def _find_and_augment(n: int, adj: list[list[int]], match: list[int], root: int)
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = set()
+        seen: set[int] = set()
         while True:
             a = base[a]
             seen.add(a)

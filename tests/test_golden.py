@@ -185,7 +185,7 @@ def _oracle_lines():
     included; max_matching on random graphs; realize_matching_oracle on
     G(n, 1/2) sequences that pass STAR (yes) and on threshold sequences
     (almost always no); hfactor_oracle with h = 2 and 3; pack under the
-    degree-product hypothesis 2 * D1 * D2 < n.  A refused call yields 'None'.
+    degree-product hypothesis 2 * D1 * D2 < n.  A negative answer yields 'None'.
     """
     def text(g):
         return "None" if g is None else graph_to_text(g)
