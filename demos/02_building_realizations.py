@@ -4,7 +4,7 @@
 hh_realize builds any graphic sequence greedily.  realize_mplus builds a
 realization containing the consecutive-pairs matching by descending on the
 degree sum and patching edges back in on the way up; the trace shows how
-deep the descent went and whether it bottomed out in one of the three
+deep the descent went and whether it bottomed out in one of the two
 closed-form terminal constructions.
 """
 import time
@@ -15,8 +15,8 @@ from degmatch import DegreeSequence, hh_realize, realize_mplus_trace
 seq = DegreeSequence((3, 3, 2, 2))
 print(f"greedy realization of {seq}: {hh_realize(seq).edge_list()}")
 
-# The constructive realizer.  For (2,2,2,2) one descent step already fails
-# the inequality family, so a terminal construction fires immediately.
+# The constructive realizer.  (2,2,2,2) already has terminal shape (a), so
+# its construction fires before any descent step.
 for entries in [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 3, 3, 2, 2)]:
     seq = DegreeSequence(entries)
     trace = realize_mplus_trace(seq)

@@ -221,6 +221,11 @@ def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
     try:
         g, pms = disjoint_pms(seq, args.h)
     except PreconditionError as exc:
+        # Odd n, a degree below h, or no perfect matching in any realization
+        # rule out h disjoint ones; other misses only say the construction
+        # does not apply, so they stay undecided (exit 2).
+        if seq.n % 2 == 0 and seq.entries[-1] >= args.h and lovasz_pm_check(seq):
+            raise PreconditionError(f"undecided: {exc}") from exc
         text = f"not constructible: {exc}"
         return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
     if args.json:
@@ -241,7 +246,11 @@ def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    report = pack_report(_parse_sequence(args.sequence1), _parse_sequence(args.sequence2))
+    seq1, seq2 = _parse_sequence(args.sequence1), _parse_sequence(args.sequence2)
+    report = pack_report(seq1, seq2)
+    # a miss is a proven negative only if some vertex needs more than n - 1
+    # neighbours across both graphs; any other miss is inconclusive (exit 2)
+    overfull = any(a + b > seq1.n - 1 for a, b in zip(seq1.entries, seq2.entries))
     if args.json:
         print(json.dumps({"schema": 1, **report}))
     else:
@@ -250,9 +259,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         if report["success"]:
             print(f"  edges1: {_pairs_text(report['edges1'])}")
             print(f"  edges2: {_pairs_text(report['edges2'])}")
+        elif overfull:
+            print("  some vertex needs more than n-1 neighbours: no packing exists")
         else:
             print(f"  {report['note']}")
-    return EXIT_OK if report["success"] else EXIT_NEGATIVE
+    if report["success"]:
+        return EXIT_OK
+    return EXIT_NEGATIVE if overfull else EXIT_ERROR
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:

@@ -301,9 +301,6 @@ class CheckReport:
     def row(self, k: int) -> CheckRow:
         return self.rows[k - 1]
 
-    def min_slack(self) -> int:
-        return min(r.slack for r in self.rows)
-
     def as_dict(self) -> dict:
         return {
             "family": self.family if self.h is None else f"{self.family}({self.h})",

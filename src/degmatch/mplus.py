@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import starmap
 from operator import neg
 
-import numpy as np
-
 from .core import (
     CheckReport,
     CheckRow,
@@ -45,36 +43,15 @@ def star_check(seq: DegreeSequence) -> CheckReport:
     )
 
 
-# Numpy twin of _family_rows(d, 1), kept because a Python pass is several times slower at large n
-def _star_min_slack(d: np.ndarray) -> int:
-    """Minimum slack over all rows of the star inequality family.
+def _terminal_edges(
+    d: list[int], total: int
+) -> tuple[set[tuple[int, int]], str] | None:
+    """Direct constructions for the two sequence shapes where the descent stops.
 
-    d must be a weakly decreasing int64 vector.  Values stay below n^2, far
-    inside int64 range for any realistic n.
-    """
-    n = d.shape[0]
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    lhs = np.cumsum(d)
-    e = d - 1
-    cnt = np.searchsorted(-e, -ks, side="right")
-    capped = np.maximum(0, cnt - ks)
-    suffix = np.zeros(n + 1, dtype=np.int64)
-    suffix[:n] = e[::-1].cumsum()[::-1]
-    tail = np.maximum(ks, cnt)
-    rhs = ks * (ks - 1) + ks * capped + suffix[tail]
-    odd = (ks % 2).astype(bool)
-    nxt = np.empty(n, dtype=np.int64)
-    nxt[: n - 1] = d[1:]
-    nxt[n - 1] = np.iinfo(np.int64).max  # k=n row has no d_{k+1} term
-    rhs += (odd & (nxt <= ks)).astype(np.int64)
-    return int((rhs - lhs).min())
-
-
-def _terminal_edges(d: tuple[int, ...]) -> tuple[set[tuple[int, int]], str] | None:
-    """Direct constructions for the three sequence shapes where the descent stops.
-
-    Returns (edge set, pattern label) or None if no pattern matches exactly.
-    Patterns are tested in the order (a), (b), (c).
+    Returns (edge set, pattern label) or None if neither pattern matches.
+    d must be weakly decreasing with entries >= 1 and sum total: then "the
+    first k+1 entries equal d[0]" is d[k] == d[0], "the rest are 1's" is one
+    index test, and (c)'s residual sum is total - (k+1)^2 - (n-k-1).
     """
     n = len(d)
 
@@ -84,9 +61,9 @@ def _terminal_edges(d: tuple[int, ...]) -> tuple[set[tuple[int, int]], str] | No
         k >= 2
         and k % 2 == 0
         and n >= k + 2
-        and all(d[i] == k for i in range(k + 1))
+        and d[k] == k
         and d[k + 1] == 2
-        and all(d[i] == 1 for i in range(k + 2, n))
+        and (k + 2 == n or d[k + 2] == 1)
     ):
         edges = {(i, j) for i in range(1, k + 2) for j in range(i + 1, k + 2)}
         edges.remove((k, k + 1))
@@ -96,32 +73,13 @@ def _terminal_edges(d: tuple[int, ...]) -> tuple[set[tuple[int, int]], str] | No
             edges.add((j, j + 1))
         return edges, "a"
 
-    # (b): k+2 leading (k+1)'s, one 2, trailing 1's; k odd
-    k = d[0] - 1
-    if (
-        k >= 1
-        and k % 2 == 1
-        and n >= k + 3
-        and all(d[i] == k + 1 for i in range(k + 2))
-        and d[k + 2] == 2
-        and all(d[i] == 1 for i in range(k + 3, n))
-    ):
-        edges = {(i, j) for i in range(1, k + 3) for j in range(i + 1, k + 3)}
-        edges.remove((k + 1, k + 2))
-        edges.add((k + 1, k + 3))
-        edges.add((k + 2, k + 3))
-        for j in range(k + 4, n, 2):
-            edges.add((j, j + 1))
-        return edges, "b"
-
     # (c): k+1 leading (k+1)'s, k even, residual degrees past them sum to k
     k = d[0] - 1
     if (
-        k >= 0
-        and k % 2 == 0
+        k % 2 == 0
         and n >= k + 2
-        and all(d[i] == k + 1 for i in range(k + 1))
-        and sum(d[i] - 1 for i in range(k + 1, n)) == k
+        and d[k] == k + 1
+        and total - (k + 1) ** 2 - (n - k - 1) == k
     ):
         edges = {(i, j) for i in range(1, k + 2) for j in range(i + 1, k + 2)}
         edges.add((k + 1, k + 2))
@@ -144,7 +102,7 @@ class RealizeTrace:
 
     graph: LabeledGraph
     steps: int
-    terminal: str | None  # pattern label, or None when the descent hit the base
+    terminal: str | None  # "a" or "c" for a terminal shape, None for the all-ones base
 
 
 def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
@@ -160,36 +118,24 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
     # Descent: repeatedly decrement the degree pair (t, p), where p is the
     # last entry >= 2 and t the first strict descent before it (so that
     # d_1 = ... = d_t, which the pattern-narrowing argument relies on); with
-    # no descent before p, t = p - 1.  A lower bound on the minimum
-    # inequality slack is maintained so the full recheck only runs when a
-    # failure is actually possible (each step moves any slack by at most 2).
+    # no descent before p, t = p - 1.  The decrement breaks the inequality
+    # family exactly when the sequence has a terminal shape (checked at every
+    # step by tests/test_mplus.py::TestDescentStop), so the descent stops
+    # there and builds that shape directly instead of rechecking the family.
     stack: list[tuple[int, int]] = []
-    slack_lb = report.min_slack()
     terminal: str | None = None
     edges: set[tuple[int, int]]
     while total > n:
+        hit = _terminal_edges(d, total)
+        if hit is not None:
+            edges, terminal = hit
+            break
         p0 = bisect_right(d, -2, key=neg) - 1  # last entry >= 2
         j = bisect_left(d, 1 - d[0], key=neg)  # first entry <= d[0] - 1
         t0 = p0 - 1 if j > p0 else j - 1
         d[t0] -= 1
         d[p0] -= 1
         total -= 2
-        slack_lb -= 2
-        if slack_lb < 0:
-            actual = _star_min_slack(np.array(d, dtype=np.int64))
-            if actual < 0:
-                # decremented sequence fails: restore and build directly
-                d[t0] += 1
-                d[p0] += 1
-                total += 2
-                hit = _terminal_edges(tuple(d))
-                if hit is None:
-                    raise InvariantViolation(
-                        f"no terminal pattern matched for {tuple(d)}"
-                    )
-                edges, terminal = hit
-                break
-            slack_lb = actual
         stack.append((t0 + 1, p0 + 1))
     else:
         # base case: the matching itself realizes the all-ones residue

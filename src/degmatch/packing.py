@@ -37,28 +37,28 @@ def binding_number(g: LabeledGraph) -> BindingNumber:
         masks[i] |= 1 << j
         masks[j] |= 1 << i
     full = ((1 << n) - 1) << 1  # bits 1..n
-    # neighborhood[x] for all subsets, built by peeling the lowest vertex
-    neigh = [0] * (1 << n)
+    # pref[v]: neighbourhood of the vertices >= v in the current mask x.  The
+    # increment to x sets the bit of vertex v and clears every bit below it,
+    # so only pref[1..v] change, O(1) amortized over the scan.
+    pref = [0] * (n + 2)
+    best_size, best_count, best_x = 0, 1, 0  # ratio 1/0 stands for +infinity
     for x in range(1, 1 << n):
-        low = x & -x
-        v = low.bit_length()  # subset bits are 0-based shifts of vertex-1
-        neigh[x] = neigh[x ^ low] | masks[v]
-    best: Fraction | None = None
-    best_x = 0
-    for x in range(1, 1 << n):
-        nx = neigh[x]
+        v = (x & -x).bit_length()  # x holds vertex v as bit v - 1
+        nx = pref[v + 1] | masks[v]
+        for u in range(1, v + 1):
+            pref[u] = nx
         if nx == full:
             continue
-        ratio = Fraction(bin(nx).count("1"), bin(x).count("1"))
-        if best is None or ratio < best:
-            best = ratio
-            best_x = x
-    if best is None:
+        count = nx.bit_count()
+        size = x.bit_count()
+        if count * best_size < best_count * size:
+            best_size, best_count, best_x = size, count, x
+    if not best_x:
         raise InvalidInput("binding number undefined: N(X) = V for every X")
     witness = frozenset(
         v for v in range(1, n + 1) if (best_x >> (v - 1)) & 1
     )
-    return BindingNumber(value=best, witness=witness)
+    return BindingNumber(value=Fraction(best_count, best_size), witness=witness)
 
 
 def _packs_hypothesis(seq1: DegreeSequence, seq2: DegreeSequence) -> bool:

@@ -8,6 +8,7 @@ greedy realizers, gadget reductions or blossom search.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 from degmatch import LabeledGraph
@@ -155,3 +156,25 @@ def f_factor_exists_brute(host: LabeledGraph, f: tuple[int, ...]) -> bool:
         if tuple(deg[1:]) == f:
             return True
     return False
+
+
+def binding_number_brute(g: LabeledGraph) -> tuple[Fraction, frozenset[int]] | None:
+    """min |N(X)| / |X| over non-empty vertex sets X with N(X) != V.
+
+    Returns the value and, of the sets attaining it, the one with the smallest
+    mask sum(2^(v-1)); None when N(X) = V for every X.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = None
+    for size in range(1, g.n + 1):
+        for xs in itertools.combinations(adj, size):
+            reach = set().union(*(adj[v] for v in xs))
+            if len(reach) == g.n:
+                continue
+            key = (Fraction(len(reach), size), sum(1 << (v - 1) for v in xs), xs)
+            if best is None or key < best:
+                best = key
+    return None if best is None else (best[0], frozenset(best[2]))

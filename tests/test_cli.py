@@ -123,11 +123,58 @@ def test_disjoint_pms(capsys):
 
 def test_disjoint_pms_negative(capsys):
     assert run(["disjoint-pms", "2", "5,5,2,2,2,2"]) == 1
+    assert run(["disjoint-pms", "1", "2,2,2"]) == 1  # odd n
+    assert run(["disjoint-pms", "2", "2,2,1,1"]) == 1  # a degree below h
+    assert run(["disjoint-pms", "1", "3,1,1,1"]) == 1  # no perfect matching
+
+
+def _disjoint_union_degrees(n, *edge_sets):
+    """Degree vector of the union, asserting the edge sets are pairwise disjoint."""
+    deg = [0] * n
+    seen = set()
+    for edges in edge_sets:
+        for u, v in edges:
+            assert (u, v) not in seen
+            seen.add((u, v))
+            deg[u - 1] += 1
+            deg[v - 1] += 1
+    return tuple(deg)
+
+
+@pytest.mark.parametrize(
+    "h, sequence, witness",
+    [
+        # 1-2,1-3,1-4,2-3 realizes (3,2,2,1) and contains the matching 1-4,2-3
+        ("1", "3,2,2,1", [[(1, 4), (2, 3)], [(1, 2), (1, 3)]]),
+        # K_{3,3} is the union of three disjoint perfect matchings
+        (
+            "3",
+            "3,3,3,3,3,3",
+            [[(1, 4), (2, 5), (3, 6)], [(1, 5), (2, 6), (3, 4)], [(1, 6), (2, 4), (3, 5)]],
+        ),
+    ],
+)
+def test_disjoint_pms_undecided_is_not_negative(capsys, h, sequence, witness):
+    degrees = tuple(int(x) for x in sequence.split(","))
+    assert _disjoint_union_degrees(len(degrees), *witness) == degrees
+    assert run(["disjoint-pms", h, sequence]) == 2
+    assert "undecided" in capsys.readouterr().err
 
 
 def test_pack(capsys):
     assert run(["pack", "1,1,1,1", "1,1,1,1"]) == 0
     assert run(["pack", "3,3,3,3", "3,3,3,3"]) == 1
+    assert "no packing exists" in capsys.readouterr().out
+
+
+def test_pack_inconclusive_miss_exits_2(capsys):
+    g1 = [(1, 2), (1, 4), (2, 5), (3, 4), (3, 5)]
+    g2 = [(1, 3), (1, 5), (2, 3), (2, 4)]
+    assert _disjoint_union_degrees(5, g1) == (2, 2, 2, 2, 2)
+    assert _disjoint_union_degrees(5, g2) == (2, 2, 2, 1, 1)
+    _disjoint_union_degrees(5, g1, g2)  # the two realizations pack
+    assert run(["pack", "2,2,2,2,2", "2,2,2,1,1"]) == 2
+    assert "inconclusive" in capsys.readouterr().out
 
 
 def test_pack_json(capsys):

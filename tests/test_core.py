@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import degmatch
 from degmatch import (
     DegreeSequence,
     InvalidInput,
@@ -179,3 +183,10 @@ class TestSerialization:
             graph_from_text("3\n1 1\n")
         with pytest.raises(InvalidInput):
             graph_from_text("3\n1 x\n")
+
+
+def test_import_pulls_in_no_numpy():
+    src = os.path.dirname(os.path.dirname(degmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import degmatch, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,8 +1,9 @@
 import math
 import random
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from degmatch import (
     DegreeSequence,
@@ -13,6 +14,7 @@ from degmatch import (
     corollary_bound_holds,
     degree_sequences,
     eg_check,
+    graph_to_text,
     realize_mplus,
     realize_mplus_trace,
     star_check,
@@ -20,8 +22,20 @@ from degmatch import (
     tightness_scan,
 )
 from degmatch.graphic import _family_holds
-from degmatch.mplus import _star_min_slack
+from degmatch.mplus import _terminal_edges
 from degmatch.switches import realize_matching_oracle
+
+
+def _gnp_sequence(rng: random.Random, n: int, p: float) -> DegreeSequence | None:
+    """Sorted degree sequence of one G(n, p) sample; None if a vertex is isolated."""
+    deg = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                deg[i] += 1
+                deg[j] += 1
+    deg.sort(reverse=True)
+    return DegreeSequence(tuple(deg)) if deg[-1] else None
 
 
 class TestStarCheck:
@@ -58,19 +72,6 @@ class TestStarCheck:
                 e = seq.entries
                 if n % 2 == 0 and sum(e) % 2 == 0 and _family_holds(e, 1):
                     assert _family_holds(e, 0), seq
-
-    def test_fast_min_slack_matches_report(self):
-        rng = random.Random(11)
-        for n in range(2, 9):
-            for seq in degree_sequences(n):
-                arr = np.array(seq.entries, dtype=np.int64)
-                assert _star_min_slack(arr) == star_check(seq).min_slack()
-        for _ in range(200):
-            n = rng.randint(2, 40)
-            vals = sorted((rng.randint(1, n - 1) for _ in range(n)), reverse=True)
-            seq = DegreeSequence(tuple(vals))
-            arr = np.array(seq.entries, dtype=np.int64)
-            assert _star_min_slack(arr) == star_check(seq).min_slack()
 
 
 class TestRealize:
@@ -115,6 +116,66 @@ class TestRealize:
         assert trace.graph.degree_vector() == seq.entries
         assert canonical_matching(50, "plus").edges <= trace.graph.edges
         assert 0 < trace.steps <= (seq.total() - 50) // 2
+
+
+class TestDescentStop:
+    """realize_mplus stops at a terminal shape instead of rechecking the
+    family: a shape must match exactly when the next decrement fails."""
+
+    @staticmethod
+    def _walk(seq: DegreeSequence) -> tuple[int, str | None]:
+        """Walk the descent, checking the stop lemma at every state."""
+        n = seq.n
+        d = list(seq.entries)
+        total = sum(d)
+        steps = 0
+        while total > n:
+            p = max(i for i, x in enumerate(d) if x >= 2)
+            j = next((i for i, x in enumerate(d) if x < d[0]), n)
+            t = p - 1 if j > p else j - 1
+            nxt = list(d)
+            nxt[t] -= 1
+            nxt[p] -= 1
+            hit = _terminal_edges(d, total)
+            assert (hit is not None) == (not _family_holds(nxt, 1)), (seq, d)
+            if hit is not None:
+                return steps, hit[1]
+            d, total, steps = nxt, total - 2, steps + 1
+        return steps, None
+
+    def _check(self, seq: DegreeSequence) -> None:
+        trace = realize_mplus_trace(seq)
+        assert self._walk(seq) == (trace.steps, trace.terminal), seq
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_exhaustive(self, n):
+        for seq in degree_sequences(n):
+            if star_check(seq).verdict:
+                self._check(seq)
+
+    def test_random_graphs(self):
+        rng = random.Random(16)
+        checked = 0
+        while checked < 200:
+            seq = _gnp_sequence(rng, rng.randrange(16, 81, 2), rng.uniform(0.1, 0.9))
+            if seq is not None and star_check(seq).verdict:
+                self._check(seq)
+                checked += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(10, 100).map(lambda half: 2 * half),
+    percent=st.integers(10, 90),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_realize_mplus_random_graphs(n, percent, seed):
+    seq = _gnp_sequence(random.Random(seed), n, percent / 100)
+    assume(seq is not None and star_check(seq).verdict)
+    g = realize_mplus_trace(seq).graph
+    assert g.degree_vector() == seq.entries
+    assert canonical_matching(n, "plus").edges <= g.edges
+    assert graph_to_text(realize_mplus(seq)) == graph_to_text(g)
 
 
 class TestNecessityDirection:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from degmatch import (
     pack,
     pack_report,
 )
+
+from oracles import binding_number_brute
 
 
 class TestBindingNumber:
@@ -34,6 +37,18 @@ class TestBindingNumber:
         result = binding_number(star)
         assert result.value == Fraction(1, 3)
         assert result.witness == frozenset({2, 3, 4})
+
+    def test_matches_definition_on_random_graphs(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            p = rng.random()
+            edges = [
+                (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p
+            ]
+            g = build_graph(n, edges)
+            result = binding_number(g)
+            assert (result.value, result.witness) == binding_number_brute(g), edges
 
     def test_size_guard(self):
         with pytest.raises(InvalidInput):
