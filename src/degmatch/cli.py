@@ -12,12 +12,19 @@ import sys
 from typing import Sequence
 
 from . import battery
-from .core import CheckReport, DegreeSequence, LabeledGraph, _pairs_text, graph_to_text
-from .errors import DegmatchError, InvalidInput, PreconditionError
+from .core import (
+    CheckReport,
+    DegreeSequence,
+    LabeledGraph,
+    _pairs_text,
+    canonical_matching,
+    graph_to_text,
+)
+from .errors import DegmatchError, InvalidInput, InvariantViolation, PreconditionError
 from .graphic import eg_check, lovasz_pm_check
 from .hfactor import disjoint_pms, doublestar_check, hfactor_oracle
 from .mplus import corollary_bound_holds, realize_mplus, star_check, tightness_instance
-from .packing import pack_report
+from .packing import OVERFULL_NOTE, pack_report
 from .preorder import build_preorder, check_conjectures, hasse_dot
 from .switches import (
     matching_from_text,
@@ -107,8 +114,6 @@ def _cmd_realize_mplus(args: argparse.Namespace) -> int:
     if not report.verdict:
         return _emit_report(report, "consecutive-matching", args.json)
     g = realize_mplus(seq)
-    from .core import canonical_matching
-
     return _audit_and_print(g, seq, canonical_matching(seq.n, "plus").edges, args.json)
 
 
@@ -218,16 +223,28 @@ def _cmd_hfactor_realize(args: argparse.Namespace) -> int:
 
 def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
-    try:
-        g, pms = disjoint_pms(seq, args.h)
-    except PreconditionError as exc:
-        # Odd n, a degree below h, or no perfect matching in any realization
-        # rule out h disjoint ones; other misses only say the construction
-        # does not apply, so they stay undecided (exit 2).
-        if seq.n % 2 == 0 and seq.entries[-1] >= args.h and lovasz_pm_check(seq):
-            raise PreconditionError(f"undecided: {exc}") from exc
-        text = f"not constructible: {exc}"
-        return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
+    if args.h == 1:
+        # Exact: some realization has a perfect matching iff one realizes the
+        # nested matching (the paper's result (1)), and lovasz_pm_check
+        # decides the former independently.
+        if not lovasz_pm_check(seq):
+            text = f"not constructible: no realization of {seq} has a perfect matching"
+            return _emit_verdict("disjoint-pms(1)", False, text, args.json)
+        pms = [canonical_matching(seq.n, "minus")]
+        g = realize_matching_oracle(seq, pms[0])
+        if g is None:
+            raise InvariantViolation(f"{seq} has a perfect matching but cannot realize {pms[0]}")
+    else:
+        try:
+            g, pms = disjoint_pms(seq, args.h)
+        except PreconditionError as exc:
+            # Odd n, a degree below h, or no perfect matching in any realization
+            # rule out h disjoint ones; other misses only say the construction
+            # does not apply, so they stay undecided (exit 2).
+            if seq.n % 2 == 0 and seq.entries[-1] >= args.h and lovasz_pm_check(seq):
+                raise PreconditionError(f"undecided: {exc}") from exc
+            text = f"not constructible: {exc}"
+            return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
     if args.json:
         print(
             json.dumps(
@@ -246,11 +263,7 @@ def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    seq1, seq2 = _parse_sequence(args.sequence1), _parse_sequence(args.sequence2)
-    report = pack_report(seq1, seq2)
-    # a miss is a proven negative only if some vertex needs more than n - 1
-    # neighbours across both graphs; any other miss is inconclusive (exit 2)
-    overfull = any(a + b > seq1.n - 1 for a, b in zip(seq1.entries, seq2.entries))
+    report = pack_report(_parse_sequence(args.sequence1), _parse_sequence(args.sequence2))
     if args.json:
         print(json.dumps({"schema": 1, **report}))
     else:
@@ -259,13 +272,12 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         if report["success"]:
             print(f"  edges1: {_pairs_text(report['edges1'])}")
             print(f"  edges2: {_pairs_text(report['edges2'])}")
-        elif overfull:
-            print("  some vertex needs more than n-1 neighbours: no packing exists")
         else:
             print(f"  {report['note']}")
     if report["success"]:
         return EXIT_OK
-    return EXIT_NEGATIVE if overfull else EXIT_ERROR
+    # only an overfull vertex proves a miss; any other miss is inconclusive
+    return EXIT_NEGATIVE if report["note"] == OVERFULL_NOTE else EXIT_ERROR
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:

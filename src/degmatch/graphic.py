@@ -122,6 +122,18 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
 # the members of the marked bases are relabelled.  Their newly reached
 # nodes are enqueued in ascending index order, the order of a full scan
 # over all nodes, so the search and its output are byte-identical to it.
+#
+# A search that fails ends in a frustrated tree (Edmonds 1965): every edge
+# that leaves an outer vertex ends at an inner vertex or inside the same
+# blossom.  The inner vertices U then leave the |U| + 1 outer blossoms as
+# odd components of G - U, so by Tutte (1947) G has no perfect matching.
+# The perfect-matching search used by f_factor therefore stops at its first
+# failed search and returns U; _check_tutte_barrier recounts the odd
+# components of G - U by its own BFS, so no "no" rests on the search alone.
+# On a "yes" no search fails (the path of M xor P from the root augments
+# for any perfect matching P), so the matching is the one the full main
+# loop of _max_matching_raw finds.  max_matching needs a maximum matching,
+# not a perfect one, so it keeps the full loop and its certification pass.
 # ---------------------------------------------------------------------------
 
 
@@ -135,8 +147,13 @@ def _greedy_matching(adj: list[list[int]], match: list[int]) -> None:
                     break
 
 
-def _find_and_augment(n: int, adj: list[list[int]], match: list[int], root: int) -> bool:
-    """Grow an alternating tree from `root`; augment if an exposed vertex is hit."""
+def _find_and_augment(
+    n: int, adj: list[list[int]], match: list[int], root: int
+) -> list[bool] | None:
+    """Grow an alternating tree from `root`; augment if an exposed vertex is hit.
+
+    Returns None after augmenting, else the outer marks of the frustrated tree.
+    """
     parent = [-1] * n
     base = list(range(n))
     members: dict[int, list[int]] = {}  # base -> its blossom's nodes, once contracted
@@ -200,10 +217,10 @@ def _find_and_augment(n: int, adj: list[list[int]], match: list[int], root: int)
                         match[u] = pv
                         match[pv] = u
                         u = nxt
-                    return True
+                    return None
                 used[match[to]] = True
                 queue.append(match[to])
-    return False
+    return used
 
 
 def _max_matching_raw(n: int, adj: list[list[int]]) -> list[int]:
@@ -215,9 +232,57 @@ def _max_matching_raw(n: int, adj: list[list[int]]) -> list[int]:
     # certification pass: one more scan over every exposed vertex must find
     # no augmenting path, which by Berge's lemma certifies maximality
     for v in range(n):
-        if match[v] < 0 and _find_and_augment(n, adj, match, v):
+        if match[v] < 0 and _find_and_augment(n, adj, match, v) is None:
             raise InvariantViolation("matching was not maximum after main loop")
     return match
+
+
+def _perfect_matching(adj: list[list[int]]) -> tuple[list[int], list[int] | None]:
+    """(match, None) with a perfect match, or (partial match, Tutte barrier U).
+
+    The main loop of _max_matching_raw, stopped at the first failed search.
+    U is the tree's inner vertices: the mates of its outer vertices that are
+    not outer themselves (the exposed root has no mate).
+    """
+    n = len(adj)
+    match = [-1] * n
+    _greedy_matching(adj, match)
+    for v in range(n):
+        if match[v] < 0:
+            outer = _find_and_augment(n, adj, match, v)
+            if outer is not None:
+                inner = [m for u, m in enumerate(match) if outer[u] and m >= 0 and not outer[m]]
+                return match, inner
+    return match, None
+
+
+def _check_tutte_barrier(adj: list[list[int]], barrier: Sequence[int]) -> None:
+    """Raise InvariantViolation unless G - U has more than |U| odd components.
+
+    Such a U proves by Tutte's theorem that G has no perfect matching.  The
+    count is a plain BFS over adj and reads nothing of the search behind U.
+    """
+    removed = set(barrier)
+    seen = [v in removed for v in range(len(adj))]
+    odd = 0
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = deque([s])
+        size = 0
+        while queue:
+            v = queue.popleft()
+            size += 1
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        odd += size % 2
+    if odd <= len(removed):
+        raise InvariantViolation(
+            f"claimed Tutte barrier of {len(removed)} vertices leaves {odd} odd components"
+        )
 
 
 def max_matching(g: LabeledGraph) -> Matching:
@@ -246,7 +311,8 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
     a complete bipartite gadget between them; every host edge joins one port
     of each endpoint.  Perfect matchings of the gadget correspond one-to-one
     to f-factors.  Ports are numbered along the sorted edge list, so the
-    output is deterministic.
+    output is deterministic.  Every None is proved: by an odd degree total,
+    or by a Tutte barrier of the gadget that _check_tutte_barrier recounted.
     """
     n = host.n
     if len(f) != n:
@@ -295,8 +361,9 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
         adj[pu].append(pv)
         adj[pv].append(pu)
 
-    match = _max_matching_raw(node_count, adj)
-    if any(m < 0 for m in match):
+    match, barrier = _perfect_matching(adj)
+    if barrier is not None:
+        _check_tutte_barrier(adj, barrier)
         return None
     chosen = frozenset(
         e for e in edge_list if match[edge_port[(e, e[0])]] == edge_port[(e, e[1])]

@@ -332,6 +332,8 @@ def disjoint_pms(seq: DegreeSequence, h: int) -> tuple[LabeledGraph, list[Matchi
     consecutive blocks are merged pairwise into 1-factorable star products.
     """
     n = seq.n
+    if h < 1:
+        raise InvalidInput(f"regularity h must be >= 1, got {h}")
     if n % 2:
         raise PreconditionError("disjoint perfect matchings need even n")
     if seq.entries[-1] < h:

@@ -105,8 +105,19 @@ def pack(
     return (g2, g1) if swapped else (g1, g2)
 
 
+OVERFULL_NOTE = "some vertex needs more than n-1 neighbours: no packing exists"
+INCONCLUSIVE_NOTE = (
+    "hypothesis not met; absence is inconclusive "
+    "(a different first realization might pack)"
+)
+
+
 def pack_report(seq1: DegreeSequence, seq2: DegreeSequence) -> dict:
-    """JSON-ready packing outcome, flagging inconclusive misses."""
+    """JSON-ready packing outcome; a miss carries a note that says whether it is proven.
+
+    A miss is proven only when some vertex needs d1_i + d2_i > n - 1
+    neighbours (OVERFULL_NOTE); any other miss is inconclusive.
+    """
     hypothesis = _packs_hypothesis(seq1, seq2)
     result = pack(seq1, seq2)
     report = {
@@ -120,9 +131,8 @@ def pack_report(seq1: DegreeSequence, seq2: DegreeSequence) -> dict:
     if result is not None:
         report["edges1"] = [list(e) for e in result[0].edge_list()]
         report["edges2"] = [list(e) for e in result[1].edge_list()]
+    elif any(a + b > seq1.n - 1 for a, b in zip(seq1.entries, seq2.entries)):
+        report["note"] = OVERFULL_NOTE
     else:
-        report["note"] = (
-            "hypothesis not met; absence is inconclusive "
-            "(a different first realization might pack)"
-        )
+        report["note"] = INCONCLUSIVE_NOTE
     return report

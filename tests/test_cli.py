@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from degmatch import degree_sequences, perfect_matchings, realize_matching_oracle
+import degmatch
+from degmatch import degree_sequences, lovasz_pm_check, perfect_matchings, realize_matching_oracle
 from degmatch.cli import run
 
 
@@ -144,13 +148,12 @@ def _disjoint_union_degrees(n, *edge_sets):
 @pytest.mark.parametrize(
     "h, sequence, witness",
     [
-        # 1-2,1-3,1-4,2-3 realizes (3,2,2,1) and contains the matching 1-4,2-3
-        ("1", "3,2,2,1", [[(1, 4), (2, 3)], [(1, 2), (1, 3)]]),
         # K_{3,3} is the union of three disjoint perfect matchings
-        (
+        pytest.param(
             "3",
             "3,3,3,3,3,3",
             [[(1, 4), (2, 5), (3, 6)], [(1, 5), (2, 6), (3, 4)], [(1, 6), (2, 4), (3, 5)]],
+            id="3-3,3,3,3,3,3-witness1",
         ),
     ],
 )
@@ -159,6 +162,43 @@ def test_disjoint_pms_undecided_is_not_negative(capsys, h, sequence, witness):
     assert _disjoint_union_degrees(len(degrees), *witness) == degrees
     assert run(["disjoint-pms", h, sequence]) == 2
     assert "undecided" in capsys.readouterr().err
+
+
+def test_disjoint_pms_h1_is_exact(capsys):
+    # (3,2,2,1) fails STAR, so the canonical 1-factor route does not apply;
+    # 1-2,1-3,1-4,2-3 realizes it and contains the nested matching 1-4,2-3
+    assert run(["--json", "disjoint-pms", "1", "3,2,2,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["matchings"] == ["1-4,2-3"]
+    assert _disjoint_union_degrees(4, payload["realization"]) == (3, 2, 2, 1)
+    assert {(1, 4), (2, 3)} <= {tuple(e) for e in payload["realization"]}
+    for n in (2, 4, 6):
+        for seq in degree_sequences(n):
+            expected = 0 if lovasz_pm_check(seq) else 1
+            assert run(["disjoint-pms", "1", ",".join(map(str, seq))]) == expected
+
+
+@pytest.mark.parametrize("h, sequence", [("0", "2,2,2"), ("0", "2,2,2,2"), ("-1", "2,2,2,2")])
+def test_disjoint_pms_h_below_1_is_usage_error(capsys, h, sequence):
+    assert run(["disjoint-pms", h, sequence]) == 2
+    assert "h must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check-graphic", "3,3,2,2"], 0),
+        (["check-graphic", "3,3,3,1"], 1),
+        (["frobnicate"], 2),
+    ],
+)
+def test_python_m_degmatch_exit_codes(argv, code):
+    src = os.path.dirname(os.path.dirname(degmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "degmatch", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == code, done.stderr
 
 
 def test_pack(capsys):

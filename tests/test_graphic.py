@@ -6,6 +6,7 @@ import pytest
 from degmatch import (
     DegreeSequence,
     InvalidInput,
+    InvariantViolation,
     LabeledGraph,
     Matching,
     NotGraphicError,
@@ -18,6 +19,7 @@ from degmatch import (
     lovasz_pm_check,
     max_matching,
 )
+from degmatch import graphic
 from degmatch.switches import realize_matching_oracle
 from degmatch.core import canonical_matching, perfect_matchings
 
@@ -292,3 +294,115 @@ class TestFFactor:
         assert g is not None
         assert m.edges <= g.edges
         assert g.degree_vector() == seq.entries
+
+
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _odd_components(adj: list[list[int]], removed: set[int]) -> int:
+    """Odd components of G - removed by union-find, apart from the checker's BFS."""
+    root = list(range(len(adj)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for v, nbrs in enumerate(adj):
+        if v not in removed:
+            for w in nbrs:
+                if w not in removed:
+                    root[find(v)] = find(w)
+    sizes: dict[int, int] = {}
+    for v in range(len(adj)):
+        if v not in removed:
+            sizes[find(v)] = sizes.get(find(v), 0) + 1
+    return sum(size % 2 for size in sizes.values())
+
+
+class TestTutteBarrier:
+    """The early-stopping perfect-matching search and its independent check."""
+
+    def test_every_no_in_the_oracle_corpus_carries_a_checked_barrier(self, monkeypatch):
+        from test_golden import ORACLE_DIGEST, _digest, _oracle_lines
+
+        searches = []
+        search = graphic._perfect_matching
+
+        def recording(adj):
+            match, barrier = search(adj)
+            searches.append((adj, match, barrier))
+            return match, barrier
+
+        monkeypatch.setattr(graphic, "_perfect_matching", recording)
+        assert _digest(_oracle_lines()) == ORACLE_DIGEST
+        barriers = 0
+        for adj, match, barrier in searches:
+            if barrier is None:
+                assert all(match[match[v]] == v and match[v] in adj[v] for v in range(len(adj)))
+                continue
+            barriers += 1
+            assert len(set(barrier)) == len(barrier)
+            assert _odd_components(adj, set(barrier)) > len(barrier)
+            graphic._check_tutte_barrier(adj, barrier)  # must not raise
+        assert (len(searches), barriers) == (87, 20)
+
+    def test_a_search_that_gives_up_is_caught(self, monkeypatch):
+        # a perfect matching exists, but the greedy start on this gadget is
+        # not perfect, so the search must run
+        assert f_factor(complete_graph(4), (1, 1, 1, 1)) is not None
+        calls = []
+
+        def gives_up(n, adj, match, root):
+            calls.append(root)
+            return [v == root for v in range(n)]  # a tree of the root alone
+
+        monkeypatch.setattr(graphic, "_find_and_augment", gives_up)
+        with pytest.raises(InvariantViolation, match="Tutte barrier"):
+            f_factor(complete_graph(4), (1, 1, 1, 1))
+        assert calls
+
+    def test_checker_is_tutte_theorem_on_small_graphs(self):
+        # no U passes on a graph with a perfect matching; some U passes on
+        # every even-order graph without one
+        rng = random.Random(1947)
+        for _ in range(60):
+            n = rng.choice((4, 6, 8))
+            pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = [e for e in pool if rng.random() < 0.35]
+            adj = _adjacency(n, edges)
+            accepted = 0
+            for bits in range(1 << n):
+                try:
+                    graphic._check_tutte_barrier(adj, [v for v in range(n) if bits >> v & 1])
+                    accepted += 1
+                except InvariantViolation:
+                    pass
+            g = LabeledGraph(n, frozenset((u + 1, v + 1) for u, v in edges))
+            assert (accepted == 0) == has_perfect_matching_brute(g)
+
+    @pytest.mark.parametrize("n", [10, 22, 40, 76])
+    def test_barrier_exactly_when_networkx_finds_no_perfect_matching(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        for p in (1.0 / n, 2.0 / n, 4.0 / n, 0.2):
+            for _ in range(5):
+                pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                edges = [e for e in pool if rng.random() < p]
+                adj = _adjacency(n, edges)
+                ref = nx.Graph()
+                ref.add_nodes_from(range(n))
+                ref.add_edges_from(edges)
+                perfect = 2 * len(nx.max_weight_matching(ref, maxcardinality=True)) == n
+                match, barrier = graphic._perfect_matching(adj)
+                assert (barrier is None) == perfect
+                if barrier is None:
+                    assert all(match[match[v]] == v for v in range(n))
+                else:
+                    assert _odd_components(adj, set(barrier)) > len(barrier)

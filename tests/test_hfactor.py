@@ -266,6 +266,12 @@ class TestDisjointPms:
         with pytest.raises(PreconditionError):
             disjoint_pms(DegreeSequence((2, 2, 2, 2, 2, 2, 2, 2, 2)), 2)  # odd n
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_h_below_1_is_invalid_before_parity(self, n):
+        with pytest.raises(InvalidInput) as info:
+            disjoint_pms(DegreeSequence((2,) * n), 0)
+        assert not isinstance(info.value, PreconditionError)
+
 
 class TestEnumerateRealizations:
     def test_unique_forced_example(self):

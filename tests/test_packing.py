@@ -15,6 +15,7 @@ from degmatch import (
     pack,
     pack_report,
 )
+from degmatch.packing import INCONCLUSIVE_NOTE, OVERFULL_NOTE
 
 from oracles import binding_number_brute
 
@@ -109,6 +110,25 @@ class TestPack:
         assert report["edges1"] and report["edges2"]
 
     def test_report_inconclusive(self):
+        # no vertex is overfull, and the two sequences do pack (see
+        # tests/test_cli.py), but not around the greedy first realization
+        report = pack_report(DegreeSequence((2, 2, 2, 2, 2)), DegreeSequence((2, 2, 2, 1, 1)))
+        assert not report["hypothesis"] and not report["success"]
+        assert report["note"] == INCONCLUSIVE_NOTE
+
+    def test_report_overfull_is_proven(self):
         report = pack_report(DegreeSequence((3, 3, 3, 3)), DegreeSequence((3, 3, 3, 3)))
         assert not report["hypothesis"] and not report["success"]
-        assert "inconclusive" in report["note"]
+        assert report["note"] == OVERFULL_NOTE
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_report_note_is_overfull_exactly_on_overfull_misses(self, n):
+        graphic = [s for s in degree_sequences(n) if eg_check(s).verdict]
+        for s1 in graphic:
+            for s2 in graphic:
+                report = pack_report(s1, s2)
+                overfull = any(a + b > n - 1 for a, b in zip(s1.entries, s2.entries))
+                if overfull:
+                    assert report["note"] == OVERFULL_NOTE
+                elif not report["success"]:
+                    assert report["note"] == INCONCLUSIVE_NOTE
