@@ -21,7 +21,7 @@ from .core import (
     graph_to_text,
 )
 from .errors import DegmatchError, InvalidInput, InvariantViolation, PreconditionError
-from .graphic import eg_check, lovasz_pm_check
+from .graphic import eg_check, hh_realize, lovasz_pm_check
 from .hfactor import disjoint_pms, doublestar_check, hfactor_oracle
 from .mplus import corollary_bound_holds, realize_mplus, star_check, tightness_instance
 from .packing import OVERFULL_NOTE, pack_report
@@ -289,8 +289,9 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
-    from .graphic import hh_realize
-
+    report = eg_check(seq)
+    if not report.verdict:
+        return _emit_report(report, "graphic", args.json)
     print(graph_to_text(hh_realize(seq)), end="")
     return EXIT_OK
 

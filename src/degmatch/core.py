@@ -1,4 +1,5 @@
-"""Core domain objects: degree sequences, labelled graphs, matchings, factors.
+"""Core domain objects: degree sequences, labelled graphs, matchings, factors,
+and the inequality-family reports with the one row kernel behind them.
 
 Vertices are labelled 1..n throughout the package and degree sequences are
 weakly decreasing, so label i always carries the i-th largest degree.  All
@@ -9,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InvalidInput
 
@@ -260,6 +261,43 @@ class SwitchMove:
         return f"switch{self.kind}({self.w},{self.x},{self.y},{self.z})"
 
 
+def _family_rows(entries: Sequence[int], h: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (k, lhs, rhs) of the h-factor family on weakly decreasing entries.
+
+    h=0 is Erdos-Gallai and h=1 the consecutive-pairs family.  With
+    e_i = d_i - h and s = k mod (h+1), row k reads
+
+      sum(d_i, i<=k) <= k(k-1) + sum(min(e_i, k), i>k)
+                     + sum(min(e_i + s, k) - min(e_i, k), i in (k, k+1+h-s])
+
+    with ranges clamped to n; negative e_i are used as-is.
+    """
+    n = len(entries)
+    e = [d - h for d in entries]
+    suffix = list(itertools.accumulate(reversed(e), initial=0))[::-1]  # suffix[i] = sum(e[i:])
+    ge = n  # #{i : e_i >= k}; only shrinks as k grows
+    lhs = 0
+    for k in range(1, n + 1):
+        lhs += entries[k - 1]
+        while ge and e[ge - 1] < k:
+            ge -= 1
+        if ge > k:
+            rhs = k * (k - 1) + k * (ge - k) + suffix[ge]
+        else:
+            rhs = k * (k - 1) + suffix[k]
+        s = k % (h + 1)
+        if s:
+            for x in e[k : k + 1 + h - s]:
+                if x < k:
+                    rhs += min(x + s, k) - x
+        yield k, lhs, rhs
+
+
+def _family_holds(entries: Sequence[int], h: int) -> bool:
+    """Whether every row of _family_rows(entries, h) holds; parity is not checked."""
+    return all(lhs <= rhs for _, lhs, rhs in _family_rows(entries, h))
+
+
 @dataclass(frozen=True)
 class CheckRow:
     k: int
@@ -275,28 +313,41 @@ class CheckRow:
 class CheckReport:
     """Per-k ledger for one of the inequality families (EG, STAR, DOUBLESTAR).
 
+    The report keeps the entries and the parameter `kernel_h` it passes to
+    _family_rows: 0 for EG, 1 for STAR, h for DOUBLESTAR(h).  verdict and
+    first_fail_k evaluate rows only up to the first failing one, so an odd
+    degree sum or an early failure costs no full scan; the CheckRow tuple is
+    built the first time `rows` is read.
+
     verdict <=> parity_ok and structural_ok and all slacks >= 0.
     first_fail_k is set exactly when some inequality row fails.
     """
 
     family: str
-    rows: tuple[CheckRow, ...]
+    entries: tuple[int, ...]
+    kernel_h: int
     parity_ok: bool
     structural_ok: bool
     h: int | None = None
+
+    @cached_property
+    def rows(self) -> tuple[CheckRow, ...]:
+        return tuple(itertools.starmap(CheckRow, _family_rows(self.entries, self.kernel_h)))
+
+    @cached_property
+    def first_fail_k(self) -> int | None:
+        return next(
+            (k for k, lhs, rhs in _family_rows(self.entries, self.kernel_h) if lhs > rhs),
+            None,
+        )
 
     @property
     def failing_ks(self) -> tuple[int, ...]:
         return tuple(r.k for r in self.rows if r.slack < 0)
 
     @property
-    def first_fail_k(self) -> int | None:
-        fails = self.failing_ks
-        return fails[0] if fails else None
-
-    @property
     def verdict(self) -> bool:
-        return self.parity_ok and self.structural_ok and not self.failing_ks
+        return self.parity_ok and self.structural_ok and self.first_fail_k is None
 
     def row(self, k: int) -> CheckRow:
         return self.rows[k - 1]

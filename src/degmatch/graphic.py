@@ -9,55 +9,18 @@ perfect matching.
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, starmap
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import CheckReport, CheckRow, DegreeSequence, LabeledGraph, Matching
+from .core import CheckReport, DegreeSequence, LabeledGraph, Matching, _family_holds
 from .errors import InvalidInput, InvariantViolation, NotGraphicError
-
-
-def _family_rows(entries: Sequence[int], h: int) -> Iterator[tuple[int, int, int]]:
-    """Rows (k, lhs, rhs) of the h-factor family on weakly decreasing entries.
-
-    h=0 is Erdos-Gallai and h=1 the consecutive-pairs family.  With
-    e_i = d_i - h and s = k mod (h+1), row k reads
-
-      sum(d_i, i<=k) <= k(k-1) + sum(min(e_i, k), i>k)
-                     + sum(min(e_i + s, k) - min(e_i, k), i in (k, k+1+h-s])
-
-    with ranges clamped to n; negative e_i are used as-is.
-    """
-    n = len(entries)
-    e = [d - h for d in entries]
-    suffix = list(accumulate(reversed(e), initial=0))[::-1]  # suffix[i] = sum(e[i:])
-    ge = n  # #{i : e_i >= k}; only shrinks as k grows
-    lhs = 0
-    for k in range(1, n + 1):
-        lhs += entries[k - 1]
-        while ge and e[ge - 1] < k:
-            ge -= 1
-        if ge > k:
-            rhs = k * (k - 1) + k * (ge - k) + suffix[ge]
-        else:
-            rhs = k * (k - 1) + suffix[k]
-        s = k % (h + 1)
-        if s:
-            for x in e[k : k + 1 + h - s]:
-                if x < k:
-                    rhs += min(x + s, k) - x
-        yield k, lhs, rhs
-
-
-def _family_holds(entries: Sequence[int], h: int) -> bool:
-    """Whether every row of _family_rows(entries, h) holds; parity is not checked."""
-    return all(lhs <= rhs for _, lhs, rhs in _family_rows(entries, h))
 
 
 def eg_check(seq: DegreeSequence) -> CheckReport:
     """Erdos-Gallai test: graphic iff the degree sum is even and every row holds."""
     return CheckReport(
         family="EG",
-        rows=tuple(starmap(CheckRow, _family_rows(seq.entries, 0))),
+        entries=seq.entries,
+        kernel_h=0,
         parity_ok=seq.total() % 2 == 0,
         structural_ok=True,
     )
@@ -380,9 +343,10 @@ def _realize_containing(
     """A realization of seq containing the fixed h-regular spanning edges, or None.
 
     Exact: the complement of the fixed edges must have a spanning subgraph
-    with degrees d_i - h; its union with them is the audited witness.
+    with degrees d_i - h; its union with them is the audited witness.  An odd
+    total of d_i - h answers None before the O(n^2) complement is built.
     """
-    if seq.entries[-1] < h:
+    if seq.entries[-1] < h or (seq.total() - h * seq.n) % 2:
         return None
     rest = f_factor(LabeledGraph(seq.n, fixed_edges).complement(), seq.decremented(h))
     if rest is None:

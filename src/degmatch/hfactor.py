@@ -15,11 +15,11 @@ from typing import Iterable, Sequence
 
 from .core import (
     CheckReport,
-    CheckRow,
     DegreeSequence,
     LabeledGraph,
     Matching,
     SpanningFactor,
+    _family_holds,
     canonical_h_factor,
 )
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .graphic import _family_holds, _family_rows, _realize_containing
+from .graphic import _realize_containing
 
 
 def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
@@ -46,7 +46,8 @@ def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
         raise InvalidInput(f"regularity h must be >= 1, got {h}")
     return CheckReport(
         family="DOUBLESTAR",
-        rows=tuple(itertools.starmap(CheckRow, _family_rows(seq.entries, h))),
+        entries=seq.entries,
+        kernel_h=h,
         parity_ok=seq.total() % 2 == 0,
         structural_ok=seq.n % (h + 1) == 0,
         h=h,

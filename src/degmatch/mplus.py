@@ -11,18 +11,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import starmap
 from operator import neg
 
 from .core import (
     CheckReport,
-    CheckRow,
     DegreeSequence,
     LabeledGraph,
     canonical_matching,
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError
-from .graphic import _family_rows, eg_check
+from .graphic import eg_check
 
 
 def star_check(seq: DegreeSequence) -> CheckReport:
@@ -37,7 +35,8 @@ def star_check(seq: DegreeSequence) -> CheckReport:
     """
     return CheckReport(
         family="STAR",
-        rows=tuple(starmap(CheckRow, _family_rows(seq.entries, 1))),
+        entries=seq.entries,
+        kernel_h=1,
         parity_ok=seq.total() % 2 == 0,
         structural_ok=seq.n % 2 == 0,
     )

@@ -229,6 +229,23 @@ def test_export_graph(capsys):
     assert capsys.readouterr().out == "3\n1 2\n1 3\n2 3\n"
 
 
+def test_export_graph_non_graphic_is_negative(capsys):
+    assert run(["export-graph", "3,3,1,1"]) == 1
+    captured = capsys.readouterr()
+    assert "graphic: fail" in captured.out
+    assert "fails at k=2: 6 > 4" in captured.out
+    assert captured.err == ""
+    assert run(["export-graph", "3,3,2,2,1"]) == 1  # odd degree sum
+    assert "degree sum is odd" in capsys.readouterr().out
+
+
+def test_export_graph_non_graphic_json(capsys):
+    assert run(["--json", "export-graph", "3,3,1,1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["check"], payload["family"], payload["verdict"]) == ("graphic", "EG", False)
+    assert payload["first_fail_k"] == 2 and payload["failing_ks"] == [2]
+
+
 def test_check_json_schema(capsys):
     assert run(["--json", "check-mplus", "2,2,2,2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -244,6 +261,7 @@ def test_invalid_input_is_usage_error(capsys):
         ["check-graphic", "3,a,2"],
         ["switch-path", "1-x", "--to", "plus"],
         ["realize", "1-2,3-4", "2,2,x,1"],
+        ["export-graph", "3,3,x"],
     ):
         assert run(argv) == 2  # non-integer token
         assert "error:" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degmatch
 from degmatch import (
@@ -17,10 +19,13 @@ from degmatch import (
     canonical_h_factor,
     canonical_matching,
     degree_sequences,
+    doublestar_check,
+    eg_check,
     graph_from_text,
     graph_to_text,
     perfect_matchings,
     phi,
+    star_check,
 )
 
 
@@ -183,6 +188,60 @@ class TestSerialization:
             graph_from_text("3\n1 1\n")
         with pytest.raises(InvalidInput):
             graph_from_text("3\n1 x\n")
+
+
+@st.composite
+def _head_and_tail(draw, lo: int, hi: int) -> DegreeSequence:
+    """`head` copies of `top`, then n - head entries drawn from [1, low].
+
+    Covers regular, uniform and split shapes, which pass, fail at an early
+    row, fail late, or fail on parity alone.
+    """
+    n = draw(st.integers(lo, hi))
+    top = draw(st.integers(1, n - 1))
+    low = draw(st.integers(1, top))
+    head = draw(st.integers(0, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tail = sorted((rng.randint(1, low) for _ in range(n - head)), reverse=True)
+    return DegreeSequence((top,) * head + tuple(tail))
+
+
+def _report(seq: DegreeSequence, h: int):
+    if h == 0:
+        return eg_check(seq)
+    if h == 1:
+        return star_check(seq)
+    return doublestar_check(seq, h)
+
+
+class TestCheckReport:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=_head_and_tail(20, 2000), h=st.integers(0, 3))
+    def test_verdict_first_equals_rows(self, seq, h):
+        rows_first, verdict_first = _report(seq, h), _report(seq, h)
+        rows = rows_first.rows
+        verdict, first_fail_k = verdict_first.verdict, verdict_first.first_fail_k
+        assert verdict_first.rows == rows
+        assert (rows_first.verdict, rows_first.first_fail_k) == (verdict, first_fail_k)
+        for report in (rows_first, verdict_first):
+            fails = report.failing_ks
+            assert report.verdict == (
+                report.parity_ok and report.structural_ok and all(r.slack >= 0 for r in rows)
+            )
+            assert report.first_fail_k == (fails[0] if fails else None)
+        assert rows_first.as_dict() == verdict_first.as_dict()
+
+    def test_verdict_builds_no_rows(self):
+        report = star_check(DegreeSequence((99,) + (1,) * 99))
+        assert not report.verdict and report.first_fail_k == 1
+        assert "rows" not in report.__dict__
+        assert report.row(1).slack < 0  # reading a row builds them
+        assert "rows" in report.__dict__
+
+    def test_odd_sum_scans_no_rows(self):
+        report = eg_check(DegreeSequence((2, 2, 2, 2, 2, 1)))
+        assert not report.verdict
+        assert "first_fail_k" not in report.__dict__ and "rows" not in report.__dict__
 
 
 def test_import_pulls_in_no_numpy():

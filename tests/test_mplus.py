@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from degmatch import (
@@ -21,7 +21,7 @@ from degmatch import (
     tightness_instance,
     tightness_scan,
 )
-from degmatch.graphic import _family_holds
+from degmatch.core import _family_holds
 from degmatch.mplus import _terminal_edges
 from degmatch.switches import realize_matching_oracle
 
@@ -72,6 +72,27 @@ class TestStarCheck:
                 e = seq.entries
                 if n % 2 == 0 and sum(e) % 2 == 0 and _family_holds(e, 1):
                     assert _family_holds(e, 0), seq
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        half=st.integers(10, 100),
+        top=st.floats(0.0, 1.0),
+        low=st.floats(0.0, 1.0),
+        head=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_star_implies_eg(self, half, top, low, head, seed):
+        # head copies of a top degree over a uniform tail: split shapes that
+        # pass STAR and fail EG would show here, beyond the exhaustive range
+        n = 2 * half
+        top = 1 + round(top * (n - 2))
+        low = 1 + round(low * (top - 1))
+        heads = round(head * n)
+        rng = random.Random(seed)
+        tail = sorted((rng.randint(1, low) for _ in range(n - heads)), reverse=True)
+        seq = DegreeSequence((top,) * heads + tuple(tail))
+        if star_check(seq).verdict:
+            assert eg_check(seq).verdict, seq
 
 
 class TestRealize:
@@ -251,6 +272,35 @@ class TestCorollaryBound:
             corollary_bound_holds(DegreeSequence((2, 2, 1, 1)))  # min degree
         with pytest.raises(PreconditionError):
             corollary_bound_holds(DegreeSequence((2, 2, 2)))  # odd n
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        half=st.integers(10, 100),
+        top=st.floats(0.0, 1.0),
+        low=st.floats(0.0, 1.0),
+        head=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(half=11, top=0.8, low=0.0, head=15 / 22, seed=0)  # (19^15, 11^7) fails STAR
+    def test_bound_implies_star(self, half, top, low, head, seed):
+        # minimum degree >= n/2, the bound's precondition, and an even sum;
+        # head copies of a top degree over n/2's is the tightness shape
+        n = 2 * half
+        top = half + round(top * (half - 1))
+        low = half + round(low * (top - half))
+        heads = round(head * n)
+        rng = random.Random(seed)
+        tail = sorted((rng.randint(half, low) for _ in range(n - heads)), reverse=True)
+        d = [top] * heads + tail
+        if sum(d) % 2:
+            if d[0] < n - 1:
+                d[0] += 1
+            else:
+                d[d.count(d[0]) - 1] -= 1
+        seq = DegreeSequence(tuple(d))
+        assume(eg_check(seq).verdict)
+        if corollary_bound_holds(seq):
+            assert star_check(seq).verdict, seq
 
     def test_exact_integers_no_floats(self):
         # the crossing point for n=4 is S=4: S=4 holds, S=5 cannot occur with
