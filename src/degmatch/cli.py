@@ -20,7 +20,13 @@ from .core import (
     canonical_matching,
     graph_to_text,
 )
-from .errors import DegmatchError, InvalidInput, InvariantViolation, PreconditionError
+from .errors import (
+    DegmatchError,
+    InvalidInput,
+    InvariantViolation,
+    NotGraphicError,
+    PreconditionError,
+)
 from .graphic import eg_check, hh_realize, lovasz_pm_check
 from .hfactor import disjoint_pms, doublestar_check, hfactor_oracle
 from .mplus import corollary_bound_holds, realize_mplus, star_check, tightness_instance
@@ -80,10 +86,14 @@ def _audit_and_print(g: LabeledGraph, seq: DegreeSequence, contains, as_json: bo
         print("internal audit failed", file=sys.stderr)
         return EXIT_ERROR
     if as_json:
-        print(json.dumps({"schema": 1, "n": g.n, "edges": [list(e) for e in g.edge_list()]}))
+        _print_graph_json(g)
     else:
         print(_pairs_text(g.edge_list()))
     return EXIT_OK
+
+
+def _print_graph_json(g: LabeledGraph) -> None:
+    print(json.dumps({"schema": 1, "n": g.n, "edges": [list(e) for e in g.edge_list()]}))
 
 
 def _cmd_check_graphic(args: argparse.Namespace) -> int:
@@ -289,10 +299,14 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
-    report = eg_check(seq)
-    if not report.verdict:
-        return _emit_report(report, "graphic", args.json)
-    print(graph_to_text(hh_realize(seq)), end="")
+    try:
+        g = hh_realize(seq)  # runs the Erdos-Gallai test itself
+    except NotGraphicError:
+        return _emit_report(eg_check(seq), "graphic", args.json)
+    if args.json:
+        _print_graph_json(g)
+    else:
+        print(graph_to_text(g), end="")
     return EXIT_OK
 
 

@@ -84,15 +84,21 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise InvalidInput("graph needs at least one vertex")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges = self.edges
+        # the realizers pass a frozenset of int pairs: keep it as it is
+        if type(edges) is not frozenset or not set(
+            map(type, itertools.chain.from_iterable(edges))
+        ) <= {int}:
+            edges = frozenset((int(a), int(b)) for a, b in edges)
+            object.__setattr__(self, "edges", edges)
         for i, j in edges:
-            if i == j:
-                raise InvalidInput(f"loop at vertex {i}")
-            if not (1 <= i < j <= self.n):
-                raise InvalidInput(f"edge ({i},{j}) out of range for n={self.n}")
+            if not 1 <= i < j <= n:
+                if i == j:
+                    raise InvalidInput(f"loop at vertex {i}")
+                raise InvalidInput(f"edge ({i},{j}) out of range for n={n}")
 
     @cached_property
     def _adjacency(self) -> tuple[frozenset[int], ...]:
@@ -109,7 +115,11 @@ class LabeledGraph:
         return len(self._adjacency[v])
 
     def degree_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._adjacency[v]) for v in range(1, self.n + 1))
+        deg = [0] * (self.n + 1)
+        for i, j in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        return tuple(deg[1:])
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges

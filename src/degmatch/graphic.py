@@ -33,31 +33,43 @@ def hh_realize(seq: DegreeSequence) -> LabeledGraph:
     connecting it to the vertices with the next-largest residuals; all ties
     break towards the smallest label, so the output edge set is a function
     of the input sequence alone.
+
+    The residuals live in buckets: buckets[r] lists the vertices of residual
+    r in ascending label order.  The vertex exhausted next is the head of
+    the top non-empty bucket, and its targets are bucket prefixes taken from
+    the top down.  A decremented prefix of bucket r merges into bucket r-1
+    in label order; both runs are sorted, so sorted() merges them in O(len).
+    No step sorts all n vertices.
     """
-    report = eg_check(seq)
-    if not report.verdict:
+    if not eg_check(seq).verdict:
         raise NotGraphicError(f"{seq} is not graphic")
     n = seq.n
-    residual = list(seq.entries)
-    edges: set[tuple[int, int]] = set()
-    for _ in range(n):
-        # order: largest residual first, then smallest label
-        order = sorted(range(1, n + 1), key=lambda v: (-residual[v - 1], v))
-        u = order[0]
-        need = residual[u - 1]
-        if need == 0:
-            break
-        targets = [v for v in order[1:] if residual[v - 1] > 0][:need]
-        if len(targets) < need:
-            raise InvariantViolation(
-                f"Havel-Hakimi ran out of targets for {seq}"
-            )
-        residual[u - 1] = 0
-        for v in targets:
-            residual[v - 1] -= 1
-            edges.add((u, v) if u < v else (v, u))
-    if any(residual):
-        raise InvariantViolation(f"Havel-Hakimi left residual degrees for {seq}")
+    top = seq.entries[0]
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for v, d in enumerate(seq.entries, 1):
+        buckets[d].append(v)
+    edges: list[tuple[int, int]] = []
+    while top:
+        u = buckets[top].pop(0)
+        need = top
+        taken: list[tuple[int, list[int]]] = []
+        r = top
+        while need:
+            while r and not buckets[r]:
+                r -= 1
+            if not r:
+                raise InvariantViolation(f"Havel-Hakimi ran out of targets for {seq}")
+            bucket = buckets[r]
+            prefix, buckets[r] = bucket[:need], bucket[need:]
+            taken.append((r, prefix))
+            need -= len(prefix)
+            r -= 1
+        for r, prefix in taken:
+            edges.extend((u, v) if u < v else (v, u) for v in prefix)
+            if r > 1:
+                buckets[r - 1] = sorted(buckets[r - 1] + prefix)
+        while top and not buckets[top]:
+            top -= 1
     g = LabeledGraph(n, frozenset(edges))
     if g.degree_vector() != seq.entries:
         raise InvariantViolation("Havel-Hakimi degree audit failed")

@@ -9,7 +9,7 @@ exact integer arithmetic only; no verdict ever touches floating point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import neg
 
@@ -121,16 +121,27 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
     # family exactly when the sequence has a terminal shape (checked at every
     # step by tests/test_mplus.py::TestDescentStop), so the descent stops
     # there and builds that shape directly instead of rechecking the family.
+    # A step is O(1): p0 only moves left; a step that lowers d[t0] with
+    # t0 > 0 leaves the top run d[0..t0-1], so the next j is t0 and only
+    # t0 == 0 needs a bisection; and _terminal_edges is called only when an
+    # inline necessary condition of shape (a) or (c) holds.
     stack: list[tuple[int, int]] = []
     terminal: str | None = None
     edges: set[tuple[int, int]]
+    p0 = n - 1
+    t0 = 0
     while total > n:
-        hit = _terminal_edges(d, total)
-        if hit is not None:
-            edges, terminal = hit
-            break
-        p0 = bisect_right(d, -2, key=neg) - 1  # last entry >= 2
-        j = bisect_left(d, 1 - d[0], key=neg)  # first entry <= d[0] - 1
+        d0 = d[0]
+        if (
+            d0 % 2 == 0 and d0 + 1 < n and d[d0 + 1] == 2
+        ) or (d0 % 2 and total - d0 * d0 - (n - d0) == d0 - 1):
+            hit = _terminal_edges(d, total)
+            if hit is not None:
+                edges, terminal = hit
+                break
+        while d[p0] < 2:
+            p0 -= 1  # last entry >= 2
+        j = t0 if t0 else bisect_left(d, 1 - d0, key=neg)  # first entry <= d0 - 1
         t0 = p0 - 1 if j > p0 else j - 1
         d[t0] -= 1
         d[p0] -= 1
@@ -171,15 +182,15 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
         adj[y] |= 1 << p
         adj[p] |= 1 << y
 
-    out_edges = set()
+    # read each row's set bits above the diagonal off its binary digits,
+    # least significant first: str.find skips the zeros at C speed
+    out_edges = []
     for v in range(1, n + 1):
-        higher = adj[v] >> (v + 1)
-        u = v + 1
-        while higher:
-            if higher & 1:
-                out_edges.add((v, u))
-            higher >>= 1
-            u += 1
+        bits = bin(adj[v] >> (v + 1))[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            out_edges.append((v, v + 1 + i))
+            i = bits.find("1", i + 1)
     graph = LabeledGraph(n, frozenset(out_edges))
     if graph.degree_vector() != seq.entries:
         raise InvariantViolation(f"degree audit failed for {seq}")

@@ -4,14 +4,23 @@ Everything here is deliberately naive: existence by exhaustive wiring,
 matchings by recursion over vertex subsets, f-factors by scanning edge
 subsets.  None of it shares logic with the library's inequality families,
 greedy realizers, gadget reductions or blossom search.
+
+The two reference realizers at the end are the straightforward versions of
+hh_realize (a full sort of the vertices at every step) and of the
+realize_mplus descent (two bisections and a shape test at every step).  The
+library's versions must build byte-identical graphs.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 
-from degmatch import LabeledGraph
+from degmatch import DegreeSequence, LabeledGraph, canonical_matching, eg_check
+from degmatch.errors import InvariantViolation, NotGraphicError, PreconditionError
+from degmatch.mplus import RealizeTrace, _terminal_edges, star_check
 
 
 @lru_cache(maxsize=None)
@@ -178,3 +187,126 @@ def binding_number_brute(g: LabeledGraph) -> tuple[Fraction, frozenset[int]] | N
             if best is None or key < best:
                 best = key
     return None if best is None else (best[0], frozenset(best[2]))
+
+
+def hh_realize_sorted(seq: DegreeSequence) -> LabeledGraph:
+    """Deterministic Havel-Hakimi realization, re-sorting all n vertices per step.
+
+    Repeatedly exhausts the vertex with the largest residual degree by
+    connecting it to the vertices with the next-largest residuals; all ties
+    break towards the smallest label, so the output edge set is a function
+    of the input sequence alone.
+    """
+    report = eg_check(seq)
+    if not report.verdict:
+        raise NotGraphicError(f"{seq} is not graphic")
+    n = seq.n
+    residual = list(seq.entries)
+    edges: set[tuple[int, int]] = set()
+    for _ in range(n):
+        # order: largest residual first, then smallest label
+        order = sorted(range(1, n + 1), key=lambda v: (-residual[v - 1], v))
+        u = order[0]
+        need = residual[u - 1]
+        if need == 0:
+            break
+        targets = [v for v in order[1:] if residual[v - 1] > 0][:need]
+        if len(targets) < need:
+            raise InvariantViolation(
+                f"Havel-Hakimi ran out of targets for {seq}"
+            )
+        residual[u - 1] = 0
+        for v in targets:
+            residual[v - 1] -= 1
+            edges.add((u, v) if u < v else (v, u))
+    if any(residual):
+        raise InvariantViolation(f"Havel-Hakimi left residual degrees for {seq}")
+    g = LabeledGraph(n, frozenset(edges))
+    if g.degree_vector() != seq.entries:
+        raise InvariantViolation("Havel-Hakimi degree audit failed")
+    return g
+
+
+def realize_mplus_trace_bisect(seq: DegreeSequence) -> RealizeTrace:
+    """realize_mplus_trace with two bisections and a shape test at every step."""
+    report = star_check(seq)
+    if not report.verdict:
+        raise PreconditionError(
+            f"{seq} cannot realize the consecutive-pairs matching "
+            f"(first failing k: {report.first_fail_k})"
+        )
+    n = seq.n
+    d = list(seq.entries)
+    total = sum(d)
+    # Descent: repeatedly decrement the degree pair (t, p), where p is the
+    # last entry >= 2 and t the first strict descent before it (so that
+    # d_1 = ... = d_t, which the pattern-narrowing argument relies on); with
+    # no descent before p, t = p - 1.  The decrement breaks the inequality
+    # family exactly when the sequence has a terminal shape (checked at every
+    # step by tests/test_mplus.py::TestDescentStop), so the descent stops
+    # there and builds that shape directly instead of rechecking the family.
+    stack: list[tuple[int, int]] = []
+    terminal: str | None = None
+    edges: set[tuple[int, int]]
+    while total > n:
+        hit = _terminal_edges(d, total)
+        if hit is not None:
+            edges, terminal = hit
+            break
+        p0 = bisect_right(d, -2, key=neg) - 1  # last entry >= 2
+        j = bisect_left(d, 1 - d[0], key=neg)  # first entry <= d[0] - 1
+        t0 = p0 - 1 if j > p0 else j - 1
+        d[t0] -= 1
+        d[p0] -= 1
+        total -= 2
+        stack.append((t0 + 1, p0 + 1))
+    else:
+        # base case: the matching itself realizes the all-ones residue
+        edges = {(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)}
+
+    # Ascent over bitset adjacency: either the decremented edge is simply
+    # re-added, or a degree-preserving square exchange makes room for it.
+    adj = [0] * (n + 1)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    partner = [0] * (n + 2)
+    for i in range(1, n + 1, 2):
+        partner[i] = i + 1
+        partner[i + 1] = i
+    for t, p in reversed(stack):
+        if not (adj[t] >> p) & 1:
+            adj[t] |= 1 << p
+            adj[p] |= 1 << t
+            continue
+        mask_le_p = (1 << (p + 1)) - 2  # vertices 1..p
+        xc = ~adj[t] & mask_le_p & ~(1 << t)
+        if not xc:
+            raise InvariantViolation(f"no square partner x for (t={t}, p={p})")
+        x = (xc & -xc).bit_length() - 1
+        yc = adj[x] & ~adj[p] & ~(1 << p) & ~(1 << partner[x])
+        if not yc:
+            raise InvariantViolation(f"no square partner y for (t={t}, p={p}, x={x})")
+        y = (yc & -yc).bit_length() - 1
+        adj[x] &= ~(1 << y)
+        adj[y] &= ~(1 << x)
+        adj[x] |= 1 << t
+        adj[t] |= 1 << x
+        adj[y] |= 1 << p
+        adj[p] |= 1 << y
+
+    out_edges = set()
+    for v in range(1, n + 1):
+        higher = adj[v] >> (v + 1)
+        u = v + 1
+        while higher:
+            if higher & 1:
+                out_edges.add((v, u))
+            higher >>= 1
+            u += 1
+    graph = LabeledGraph(n, frozenset(out_edges))
+    if graph.degree_vector() != seq.entries:
+        raise InvariantViolation(f"degree audit failed for {seq}")
+    if not canonical_matching(n, "plus").edges <= graph.edges:
+        raise InvariantViolation(f"matching containment audit failed for {seq}")
+    return RealizeTrace(graph=graph, steps=len(stack), terminal=terminal)

@@ -246,6 +246,31 @@ def test_export_graph_non_graphic_json(capsys):
     assert payload["first_fail_k"] == 2 and payload["failing_ks"] == [2]
 
 
+@pytest.mark.parametrize(
+    "sequence, code",
+    [("3,3,2,2", 0), ("3,3,1,1", 1), ("3,3,x", 2)],
+)
+def test_export_graph_text_and_json_forms(capsys, sequence, code):
+    assert run(["export-graph", sequence]) == code
+    text = capsys.readouterr()
+    assert run(["--json", "export-graph", sequence]) == code
+    as_json = capsys.readouterr()
+    if code == 0:
+        assert text.out == "4\n1 2\n1 3\n1 4\n2 3\n2 4\n"
+        assert json.loads(as_json.out) == {
+            "schema": 1,
+            "n": 4,
+            "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]],
+        }
+    elif code == 1:
+        assert text.out.startswith("graphic: fail\n")
+        payload = json.loads(as_json.out)
+        assert (payload["schema"], payload["check"], payload["verdict"]) == (1, "graphic", False)
+    else:
+        assert text.out == as_json.out == ""
+        assert text.err.startswith("error:") and as_json.err.startswith("error:")
+
+
 def test_check_json_schema(capsys):
     assert run(["--json", "check-mplus", "2,2,2,2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -67,6 +67,53 @@ class TestBuildGraph:
             build_graph(3, [(1, 4)])
 
 
+class TestLabeledGraph:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(2, 2)], "loop at vertex 2"),
+            ([(1, 5)], "edge (1,5) out of range for n=4"),
+            ([(0, 3)], "edge (0,3) out of range for n=4"),
+            ([(3, 1)], "edge (3,1) out of range for n=4"),
+        ],
+    )
+    def test_rejection_messages(self, edges, message):
+        for given_edges in (frozenset(edges), edges):
+            with pytest.raises(InvalidInput) as exc:
+                LabeledGraph(4, given_edges)
+            assert str(exc.value) == message
+
+    def test_edges_become_int_pairs_in_a_frozenset(self):
+        np = pytest.importorskip("numpy")
+        pairs = [(1, 2), (2, 3), (1, 4)]
+        for given_edges in (
+            frozenset((np.int64(a), np.int64(b)) for a, b in pairs),
+            [(np.int64(a), b) for a, b in pairs],
+            iter(pairs),
+            {(a, b) for a, b in pairs},
+            [[a, b] for a, b in pairs],
+        ):
+            g = LabeledGraph(4, given_edges)
+            assert type(g.edges) is frozenset and g.edges == frozenset(pairs)
+            assert {type(x) for e in g.edges for x in e} == {int}
+            assert {type(e) for e in g.edges} == {tuple}
+
+    def test_int_frozenset_is_kept(self):
+        edges = frozenset({(1, 2), (3, 4)})
+        assert LabeledGraph(4, edges).edges is edges
+
+    def test_degree_vector_counts_neighbors(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            p = rng.random()
+            edges = frozenset(
+                (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p
+            )
+            g = LabeledGraph(n, edges)
+            assert g.degree_vector() == tuple(len(g.neighbors(v)) for v in range(1, n + 1))
+
+
 class TestCanonicalMatchings:
     def test_plus_minus_on_four(self):
         assert canonical_matching(4, "plus").sorted_edges() == [(1, 2), (3, 4)]

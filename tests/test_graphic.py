@@ -15,6 +15,7 @@ from degmatch import (
     degree_sequences,
     eg_check,
     f_factor,
+    graph_to_text,
     hh_realize,
     lovasz_pm_check,
     max_matching,
@@ -27,6 +28,7 @@ from oracles import (
     f_factor_exists_brute,
     graphic_by_search,
     has_perfect_matching_brute,
+    hh_realize_sorted,
     max_matching_size_brute,
     realization_with_edges_exists,
 )
@@ -76,6 +78,56 @@ class TestHhRealize:
         g = hh_realize(DegreeSequence((3, 3, 2, 2)))
         assert g.edge_list() == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
         assert g == hh_realize(DegreeSequence((3, 3, 2, 2)))
+
+
+class TestHhRealizeReference:
+    """The bucketed hh_realize builds the graph the full-sort version builds."""
+
+    @staticmethod
+    def _check(seq: DegreeSequence) -> None:
+        assert graph_to_text(hh_realize(seq)) == graph_to_text(hh_realize_sorted(seq)), seq
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_graphic_sequence(self, n):
+        for seq in degree_sequences(n):
+            if eg_check(seq).verdict:
+                self._check(seq)
+
+    @staticmethod
+    def _random_graphic(rng: random.Random, shape: str, n: int) -> DegreeSequence | None:
+        if shape == "gnp":
+            p = rng.uniform(0.05, 0.95)
+            deg = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    deg[i] += 1
+                    deg[j] += 1
+        elif shape == "regular":
+            d = rng.randrange(1, n)
+            deg = [d - (n * d) % 2] * n
+        elif shape == "threshold":
+            # vertices join dominating (adjacent to all earlier ones) or isolated
+            dom = [rng.random() < 0.5 for _ in range(n - 1)] + [True]
+            later = list(itertools.accumulate(reversed(dom)))[::-1]
+            deg = [later[v] - dom[v] + (v if dom[v] else 0) for v in range(n)]
+        else:  # two values
+            hi = rng.randrange(2, n)
+            lo = rng.randrange(1, hi)
+            a = rng.randrange(1, n)
+            deg = [hi] * a + [lo] * (n - a)
+        seq = DegreeSequence(tuple(sorted(deg, reverse=True))) if min(deg) else None
+        return seq if seq is not None and eg_check(seq).verdict else None
+
+    @pytest.mark.parametrize("shape", ["gnp", "regular", "threshold", "two-valued"])
+    def test_random_large(self, shape):
+        rng = random.Random(shape)
+        checked = 0
+        while checked < 38:
+            n = int(64 * (600 / 64) ** rng.random())
+            seq = self._random_graphic(rng, shape, n)
+            if seq is not None:
+                self._check(seq)
+                checked += 1
 
 
 class TestLovasz:

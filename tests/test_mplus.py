@@ -24,6 +24,7 @@ from degmatch import (
 from degmatch.core import _family_holds
 from degmatch.mplus import _terminal_edges
 from degmatch.switches import realize_matching_oracle
+from oracles import realize_mplus_trace_bisect
 
 
 def _gnp_sequence(rng: random.Random, n: int, p: float) -> DegreeSequence | None:
@@ -182,6 +183,41 @@ class TestDescentStop:
             if seq is not None and star_check(seq).verdict:
                 self._check(seq)
                 checked += 1
+
+
+class TestDescentReference:
+    """The O(1)-per-step descent equals the bisect-per-step one: same steps,
+    same terminal shape, same edge set."""
+
+    @staticmethod
+    def _check(seq: DegreeSequence) -> None:
+        assert realize_mplus_trace(seq) == realize_mplus_trace_bisect(seq), seq
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_exhaustive(self, n):
+        for seq in degree_sequences(n):
+            if star_check(seq).verdict:
+                self._check(seq)
+
+    def test_random_graphs(self):
+        rng = random.Random(512)
+        checked = 0
+        while checked < 12:
+            seq = _gnp_sequence(rng, rng.randrange(128, 513, 2), rng.uniform(0.1, 0.9))
+            if seq is not None and star_check(seq).verdict:
+                self._check(seq)
+                checked += 1
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (500,) * 1000,
+            (200,) * 201 + (2,) + (1,) * 98,  # terminal shape (a) with k = 200
+            (201,) * 201 + (5,) * 50 + (1,) * 49,  # terminal shape (c) with k = 200
+        ],
+    )
+    def test_large_instances(self, entries):
+        self._check(DegreeSequence(entries))
 
 
 @settings(max_examples=40, deadline=None)
