@@ -161,10 +161,27 @@ def complete_graph(n: int) -> LabeledGraph:
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise vertex-disjoint edges on {1, ..., n}."""
+    """A set of pairwise vertex-disjoint edges on {1, ..., n}.
+
+    The public constructor validates and normalizes its edges.  Values
+    derived from a validated matching by the package's own loops (a switch,
+    a label transposition, an enumeration step) are built by _trusted.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
+
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Matching":
+        """A Matching of edges already known valid, without __post_init__.
+
+        The caller guarantees int pairs (i, j) with 1 <= i < j <= n that are
+        pairwise vertex-disjoint, in a frozenset.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "edges", edges)
+        return m
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -192,14 +209,18 @@ class Matching:
         return sorted(self.edges)
 
     def apply_move(self, move: "SwitchMove") -> "Matching":
-        """Forward application: remove move.removed(), add move.added()."""
+        """Forward application: remove move.removed(), add move.added().
+
+        Both pairings cover the move's four labels, so once the removed
+        edges are present the result is a matching again.
+        """
         removed = set(move.removed())
         added = set(move.added())
         if not removed <= self.edges:
             raise InvalidInput(f"move {move} removes edges not in the matching")
         if added & self.edges:
             raise InvalidInput(f"move {move} adds edges already present")
-        return Matching(self.n, (self.edges - removed) | added)
+        return Matching._trusted(self.n, (self.edges - removed) | added)
 
     def __str__(self) -> str:
         return _pairs_text(self.sorted_edges())
@@ -251,6 +272,12 @@ class SwitchMove:
     kind: int
 
     def __post_init__(self) -> None:
+        # a trusted Matching needs int labels; the package's own moves have them
+        if not (
+            type(self.w) is type(self.x) is type(self.y) is type(self.z) is type(self.kind) is int
+        ):
+            for name in ("w", "x", "y", "z", "kind"):
+                object.__setattr__(self, name, int(getattr(self, name)))
         if not self.w < self.x < self.y < self.z:
             raise InvalidInput("switch vertices must satisfy w < x < y < z")
         if self.kind not in (1, 2, 3):
@@ -383,15 +410,18 @@ def canonical_matching(n: int, which: Literal["plus", "minus"]) -> Matching:
     plus  = {(1,2), (3,4), ..., (n-1,n)}
     minus = {(1,n), (2,n-1), ..., (n/2, n/2+1)}
     """
+    return Matching(n, frozenset(_canonical_edges(n, which)))
+
+
+def _canonical_edges(n: int, which: Literal["plus", "minus"]) -> list[tuple[int, int]]:
+    """The sorted edge list of canonical_matching(n, which)."""
     if n < 2 or n % 2:
         raise InvalidInput(f"perfect matchings need even n >= 2, got {n}")
     if which == "plus":
-        edges = [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
-    elif which == "minus":
-        edges = [(i, n + 1 - i) for i in range(1, n // 2 + 1)]
-    else:
-        raise InvalidInput(f"which must be 'plus' or 'minus', got {which!r}")
-    return Matching(n, frozenset(edges))
+        return [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
+    if which == "minus":
+        return [(i, n + 1 - i) for i in range(1, n // 2 + 1)]
+    raise InvalidInput(f"which must be 'plus' or 'minus', got {which!r}")
 
 
 def canonical_h_factor(n: int, h: int) -> SpanningFactor:
@@ -427,7 +457,7 @@ def perfect_matchings(n: int) -> Iterator[Matching]:
 
     def rec(free: list[int], acc: list[tuple[int, int]]) -> Iterator[Matching]:
         if not free:
-            yield Matching(n, frozenset(acc))
+            yield Matching._trusted(n, frozenset(acc))
             return
         a = free[0]
         for idx in range(1, len(free)):

@@ -303,20 +303,21 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
         return None  # odd degree total: no subgraph can realize it
 
     edge_list = host.edge_list()
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e in edge_list:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    # the k-th edge (u, v), u < v, has its port at u in slot 2k, at v in 2k + 1
+    slots: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, (u, v) in enumerate(edge_list):
+        slots[u].append(2 * k)
+        slots[v].append(2 * k + 1)
 
     # port ids: for each vertex, edge-ports in sorted-edge order, then cores
-    edge_port: dict[tuple[tuple[int, int], int], int] = {}
+    port = [0] * (2 * len(edge_list))
     port_ranges: list[tuple[int, int]] = [(0, 0)] * (n + 1)
     core_ranges: list[tuple[int, int]] = [(0, 0)] * (n + 1)
     node_count = 0
     for v in range(1, n + 1):
         start = node_count
-        for e in incident[v]:
-            edge_port[(e, v)] = node_count
+        for slot in slots[v]:
+            port[slot] = node_count
             node_count += 1
         port_ranges[v] = (start, node_count)
         cstart = node_count
@@ -331,8 +332,8 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
             for c in range(cs, ce):
                 adj[p].append(c)
                 adj[c].append(p)
-    for e in edge_list:
-        pu, pv = edge_port[(e, e[0])], edge_port[(e, e[1])]
+    edge_ports = list(zip(port[0::2], port[1::2]))
+    for pu, pv in edge_ports:
         adj[pu].append(pv)
         adj[pv].append(pu)
 
@@ -341,7 +342,7 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
         _check_tutte_barrier(adj, barrier)
         return None
     chosen = frozenset(
-        e for e in edge_list if match[edge_port[(e, e[0])]] == edge_port[(e, e[1])]
+        e for e, (pu, pv) in zip(edge_list, edge_ports) if match[pu] == pv
     )
     out = LabeledGraph(n, chosen)
     if out.degree_vector() != tuple(f):

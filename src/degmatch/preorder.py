@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DegreeSequence, Matching, canonical_matching, degree_sequences, perfect_matchings
+from .core import (
+    DegreeSequence,
+    Matching,
+    _normalize_edge,
+    canonical_matching,
+    degree_sequences,
+    perfect_matchings,
+)
 from .errors import InvalidInput
 from .graphic import lovasz_pm_check
 from .switches import all_switches, realize_matching_oracle
@@ -44,12 +51,11 @@ class PreorderTable:
 
 
 def _relabel_matching(m: Matching, a: int, b: int) -> Matching:
+    """m with the labels a and b (both in 1..m.n) exchanged."""
     swap = {a: b, b: a}
-    return Matching(
+    return Matching._trusted(
         m.n,
-        frozenset(
-            (swap.get(u, u), swap.get(v, v)) for u, v in m.edges
-        ),
+        frozenset(_normalize_edge(swap.get(u, u), swap.get(v, v)) for u, v in m.edges),
     )
 
 

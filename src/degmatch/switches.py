@@ -25,8 +25,8 @@ from .core import (
     LabeledGraph,
     Matching,
     SwitchMove,
+    _canonical_edges,
     _pairs_text,
-    canonical_matching,
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError, ResourceLimitError
 from .graphic import _realize_containing
@@ -135,7 +135,7 @@ def switch_step(
     move = _step(edges, direction)
     if move is None:
         return None
-    return Matching(m.n, frozenset(edges)), move
+    return Matching._trusted(m.n, frozenset(edges)), move
 
 
 def _walk(m: Matching, direction: str) -> list[SwitchMove]:
@@ -153,8 +153,7 @@ def _walk(m: Matching, direction: str) -> list[SwitchMove]:
         moves.append(move)
         if len(moves) > guard:
             raise ResourceLimitError(f"switch walk from {m} exceeded n^2 = {guard} steps")
-    expected = canonical_matching(m.n, "minus" if direction == "down" else "plus")
-    if edges != expected.sorted_edges():
+    if edges != _canonical_edges(m.n, "minus" if direction == "down" else "plus"):
         raise InvariantViolation(f"switch walk from {m} ended at {_pairs_text(edges)}")
     return moves
 

@@ -5,20 +5,25 @@ matchings by recursion over vertex subsets, f-factors by scanning edge
 subsets.  None of it shares logic with the library's inequality families,
 greedy realizers, gadget reductions or blossom search.
 
-The two reference realizers at the end are the straightforward versions of
+The two reference realizers are the straightforward versions of
 hh_realize (a full sort of the vertices at every step) and of the
 realize_mplus descent (two bisections and a shape test at every step).  The
 library's versions must build byte-identical graphs.
+
+At the end, assert_validated_matching holds a Matching built without
+validation against the validating constructor, and gnp_sequence draws the
+random-graph degree sequences of the property tests.
 """
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import neg
 
-from degmatch import DegreeSequence, LabeledGraph, canonical_matching, eg_check
+from degmatch import DegreeSequence, LabeledGraph, Matching, canonical_matching, eg_check
 from degmatch.errors import InvariantViolation, NotGraphicError, PreconditionError
 from degmatch.mplus import RealizeTrace, _terminal_edges, star_check
 
@@ -310,3 +315,23 @@ def realize_mplus_trace_bisect(seq: DegreeSequence) -> RealizeTrace:
     if not canonical_matching(n, "plus").edges <= graph.edges:
         raise InvariantViolation(f"matching containment audit failed for {seq}")
     return RealizeTrace(graph=graph, steps=len(stack), terminal=terminal)
+
+
+def assert_validated_matching(m: Matching) -> None:
+    """m equals and hashes as Matching(m.n, m.edges), with only int labels."""
+    ref = Matching(m.n, m.edges)
+    assert m == ref and hash(m) == hash(ref), m
+    assert type(m.edges) is frozenset
+    assert all(type(v) is int for e in m.edges for v in e), m
+
+
+def gnp_sequence(rng: random.Random, n: int, p: float) -> DegreeSequence | None:
+    """Sorted degree sequence of one G(n, p) sample; None if a vertex is isolated."""
+    deg = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                deg[i] += 1
+                deg[j] += 1
+    deg.sort(reverse=True)
+    return DegreeSequence(tuple(deg)) if deg[-1] else None

@@ -27,6 +27,7 @@ from degmatch import (
     phi,
     star_check,
 )
+from oracles import assert_validated_matching
 
 
 class TestDegreeSequence:
@@ -193,16 +194,43 @@ class TestSwitchMoveTables:
         m = canonical_matching(4, "plus")
         out = m.apply_move(SwitchMove(1, 2, 3, 4, 3))
         assert out == canonical_matching(4, "minus")
+        assert_validated_matching(out)
         with pytest.raises(InvalidInput):
             out.apply_move(SwitchMove(1, 2, 3, 4, 3))
 
+    def test_apply_rejection_messages(self):
+        m = Matching(6, {(1, 4), (2, 3), (5, 6)})
+        with pytest.raises(
+            InvalidInput, match=r"^move switch1\(1,2,3,5\) removes edges not in the matching$"
+        ):
+            m.apply_move(SwitchMove(1, 2, 3, 5, 1))
+        # A move whose added edges are present cannot have its removed edges
+        # present too (both pairings cover the same four labels), so the
+        # removal check answers first.
+        with pytest.raises(
+            InvalidInput, match=r"^move switch3\(1,2,3,4\) removes edges not in the matching$"
+        ):
+            m.apply_move(SwitchMove(1, 2, 3, 4, 3))
+
+    def test_numpy_labels_become_ints(self):
+        np = pytest.importorskip("numpy")
+        move = SwitchMove(*np.array([1, 3, 6, 8], dtype=np.int64), np.int64(1))
+        assert all(
+            type(getattr(move, name)) is int for name in ("w", "x", "y", "z", "kind")
+        )
+        out = Matching(8, {(1, 3), (2, 4), (5, 7), (6, 8)}).apply_move(move)
+        assert out == Matching(8, {(1, 6), (3, 8), (2, 4), (5, 7)})
+        assert_validated_matching(out)
+
 
 class TestEnumerators:
-    @pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
+    @pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15), (8, 105), (10, 945)])
     def test_matching_counts(self, n, count):
         seen = list(perfect_matchings(n))
         assert len(seen) == count
         assert len(set(seen)) == count
+        for m in seen:
+            assert_validated_matching(m)
 
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 15), (5, 56)])
     def test_sequence_counts(self, n, count):

@@ -24,19 +24,7 @@ from degmatch import (
 from degmatch.core import _family_holds
 from degmatch.mplus import _terminal_edges
 from degmatch.switches import realize_matching_oracle
-from oracles import realize_mplus_trace_bisect
-
-
-def _gnp_sequence(rng: random.Random, n: int, p: float) -> DegreeSequence | None:
-    """Sorted degree sequence of one G(n, p) sample; None if a vertex is isolated."""
-    deg = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                deg[i] += 1
-                deg[j] += 1
-    deg.sort(reverse=True)
-    return DegreeSequence(tuple(deg)) if deg[-1] else None
+from oracles import gnp_sequence, realize_mplus_trace_bisect
 
 
 class TestStarCheck:
@@ -179,7 +167,7 @@ class TestDescentStop:
         rng = random.Random(16)
         checked = 0
         while checked < 200:
-            seq = _gnp_sequence(rng, rng.randrange(16, 81, 2), rng.uniform(0.1, 0.9))
+            seq = gnp_sequence(rng, rng.randrange(16, 81, 2), rng.uniform(0.1, 0.9))
             if seq is not None and star_check(seq).verdict:
                 self._check(seq)
                 checked += 1
@@ -203,7 +191,7 @@ class TestDescentReference:
         rng = random.Random(512)
         checked = 0
         while checked < 12:
-            seq = _gnp_sequence(rng, rng.randrange(128, 513, 2), rng.uniform(0.1, 0.9))
+            seq = gnp_sequence(rng, rng.randrange(128, 513, 2), rng.uniform(0.1, 0.9))
             if seq is not None and star_check(seq).verdict:
                 self._check(seq)
                 checked += 1
@@ -227,7 +215,7 @@ class TestDescentReference:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_realize_mplus_random_graphs(n, percent, seed):
-    seq = _gnp_sequence(random.Random(seed), n, percent / 100)
+    seq = gnp_sequence(random.Random(seed), n, percent / 100)
     assume(seq is not None and star_check(seq).verdict)
     g = realize_mplus_trace(seq).graph
     assert g.degree_vector() == seq.entries

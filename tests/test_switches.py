@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import degmatch.switches
 from degmatch import (
@@ -18,6 +20,7 @@ from degmatch import (
     classify_switch,
     complete_graph,
     degree_sequences,
+    graph_to_text,
     lift_switch,
     matching_from_text,
     perfect_matchings,
@@ -28,6 +31,8 @@ from degmatch import (
     switch_path,
     switch_step,
 )
+from degmatch.preorder import _relabel_matching
+from oracles import assert_validated_matching, gnp_sequence
 
 M3 = canonical_matching(4, "plus")
 M1 = canonical_matching(4, "minus")
@@ -49,11 +54,12 @@ class TestClassify:
         with pytest.raises(InvalidInput):
             classify_switch(M3, canonical_matching(6, "plus"))
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_consistent_with_enumeration(self, n):
         for m in perfect_matchings(n):
             for nm, move in all_switches(m):
                 assert classify_switch(m, nm) == move.kind
+                assert_validated_matching(nm)
 
 
 class TestSwitchStep:
@@ -72,17 +78,44 @@ class TestSwitchStep:
         new, move = switch_step(M2, "down")
         assert new == M1 and move.kind == 2
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_terminal_characterizations(self, n):
         plus, minus = canonical_matching(n, "plus"), canonical_matching(n, "minus")
         for m in perfect_matchings(n):
-            assert (switch_step(m, "down") is None) == (m == minus)
-            assert (switch_step(m, "up") is None) == (m == plus)
+            down, up = switch_step(m, "down"), switch_step(m, "up")
+            assert (down is None) == (m == minus)
+            assert (up is None) == (m == plus)
+            for step in (down, up):
+                if step is not None:
+                    assert_validated_matching(step[0])
 
     def test_down_prefers_disjoint_pair(self):
         m = Matching(6, {(1, 3), (2, 4), (5, 6)})
         _, move = switch_step(m, "down")
         assert move.kind == 3  # the disjoint pair (1,3),(5,6) wins over the crossing
+
+
+class TestTrustedMatchings:
+    """Matchings derived without re-validation equal the validated ones.
+
+    The n <= 10 switches and steps are checked in TestClassify and TestSwitchStep.
+    """
+
+    def test_all_switches_random_n40(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            verts = list(range(1, 41))
+            rng.shuffle(verts)
+            m = Matching(40, zip(verts[0::2], verts[1::2]))
+            for nm, _ in all_switches(m):
+                assert_validated_matching(nm)
+
+    def test_relabel_adjacent_transpositions_n8(self):
+        for m in perfect_matchings(8):
+            for i in range(1, 8):
+                out = _relabel_matching(m, i, i + 1)
+                assert_validated_matching(out)
+                assert _relabel_matching(out, i, i + 1) == m
 
 
 class TestSwitchPath:
@@ -115,6 +148,13 @@ class TestSwitchPath:
         monkeypatch.setattr(degmatch.switches, "_step", lambda edges, d: move)
         with pytest.raises(ResourceLimitError):
             switch_path(M3, "minus")
+
+    def test_walk_ending_off_the_canonical_matching_is_caught(self, monkeypatch):
+        monkeypatch.setattr(degmatch.switches, "_step", lambda edges, d: None)
+        for m, target in ((M2, "minus"), (M2, "plus"), (M3, "minus"), (M1, "plus")):
+            with pytest.raises(InvariantViolation, match=f"ended at {m}$"):
+                switch_path(m, target)
+        assert switch_path(M1, "minus") == [] and switch_path(M3, "plus") == []
 
 
 class TestPhiLemma:
@@ -214,6 +254,25 @@ class TestRealizeSwitchwise:
                 if witness is not None:
                     assert witness.degree_vector() == seq.entries
                     assert m.edges <= witness.edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(10, 60).map(lambda half: 2 * half),
+        percent=st.integers(10, 90),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=120, percent=50, seed=0)
+    def test_random_graphs_and_matchings(self, n, percent, seed):
+        rng = random.Random(seed)
+        seq = gnp_sequence(rng, n, percent / 100)
+        assume(seq is not None and star_check(seq).verdict)
+        verts = list(range(1, n + 1))
+        rng.shuffle(verts)
+        m = Matching(n, zip(verts[0::2], verts[1::2]))
+        g = realize_matching_switchwise(seq, m)
+        assert g.degree_vector() == seq.entries
+        assert m.edges <= g.edges
+        assert graph_to_text(realize_matching_switchwise(seq, m)) == graph_to_text(g)
 
 
 class TestOracle:
