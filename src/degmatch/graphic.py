@@ -2,16 +2,17 @@
 
 This module powers every independent oracle in the package: the
 Erdos-Gallai inequality test, a deterministic Havel-Hakimi realizer, the
-Lovasz perfect-matching feasibility test, an unweighted blossom maximum
-matching, and exact f-factor search via the vertex-gadget reduction to
-perfect matching.
+Lovasz perfect-matching feasibility test, and exact f-factor search via
+the vertex-gadget reduction to perfect matching.  The package has one
+blossom search loop: the perfect-matching search of that reduction, whose
+"no" carries a checked Tutte barrier.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Sequence
 
-from .core import CheckReport, DegreeSequence, LabeledGraph, Matching, _family_holds
+from .core import CheckReport, DegreeSequence, LabeledGraph, _family_holds
 from .errors import InvalidInput, InvariantViolation, NotGraphicError
 
 
@@ -91,7 +92,7 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Unweighted maximum matching in general graphs (blossom contraction).
+# Perfect matching in general graphs (blossom contraction).
 # Array-based BFS formulation; all scratch state is per-invocation.
 # A contraction costs O(|blossom|) plus the two tree paths it walks: only
 # the members of the marked bases are relabelled.  Their newly reached
@@ -102,13 +103,10 @@ def lovasz_pm_check(seq: DegreeSequence) -> bool:
 # that leaves an outer vertex ends at an inner vertex or inside the same
 # blossom.  The inner vertices U then leave the |U| + 1 outer blossoms as
 # odd components of G - U, so by Tutte (1947) G has no perfect matching.
-# The perfect-matching search used by f_factor therefore stops at its first
-# failed search and returns U; _check_tutte_barrier recounts the odd
-# components of G - U by its own BFS, so no "no" rests on the search alone.
-# On a "yes" no search fails (the path of M xor P from the root augments
-# for any perfect matching P), so the matching is the one the full main
-# loop of _max_matching_raw finds.  max_matching needs a maximum matching,
-# not a perfect one, so it keeps the full loop and its certification pass.
+# The search therefore stops at its first failed search and returns U;
+# _check_tutte_barrier recounts the odd components of G - U by its own BFS,
+# so no "no" rests on the search alone.  On a "yes" no search fails: the
+# path of M xor P from the root augments for any perfect matching P.
 # ---------------------------------------------------------------------------
 
 
@@ -198,24 +196,11 @@ def _find_and_augment(
     return used
 
 
-def _max_matching_raw(n: int, adj: list[list[int]]) -> list[int]:
-    match = [-1] * n
-    _greedy_matching(adj, match)
-    for v in range(n):
-        if match[v] < 0:
-            _find_and_augment(n, adj, match, v)
-    # certification pass: one more scan over every exposed vertex must find
-    # no augmenting path, which by Berge's lemma certifies maximality
-    for v in range(n):
-        if match[v] < 0 and _find_and_augment(n, adj, match, v) is None:
-            raise InvariantViolation("matching was not maximum after main loop")
-    return match
-
-
 def _perfect_matching(adj: list[list[int]]) -> tuple[list[int], list[int] | None]:
     """(match, None) with a perfect match, or (partial match, Tutte barrier U).
 
-    The main loop of _max_matching_raw, stopped at the first failed search.
+    A greedy start, then one search per exposed vertex, stopped at the
+    first failed search.
     U is the tree's inner vertices: the mates of its outer vertices that are
     not outer themselves (the exposed root has no mate).
     """
@@ -260,20 +245,6 @@ def _check_tutte_barrier(adj: list[list[int]], barrier: Sequence[int]) -> None:
         )
 
 
-def max_matching(g: LabeledGraph) -> Matching:
-    """A maximum-cardinality matching of g (deterministic)."""
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.edge_list():
-        adj[i - 1].append(j - 1)
-        adj[j - 1].append(i - 1)
-    match = _max_matching_raw(n, adj)
-    edges = frozenset(
-        (v + 1, match[v] + 1) for v in range(n) if match[v] > v
-    )
-    return Matching(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # Exact f-factor via the classical vertex-gadget reduction.
 # ---------------------------------------------------------------------------
@@ -309,33 +280,24 @@ def f_factor(host: LabeledGraph, f: Sequence[int]) -> LabeledGraph | None:
         slots[u].append(2 * k)
         slots[v].append(2 * k + 1)
 
-    # port ids: for each vertex, edge-ports in sorted-edge order, then cores
+    # node ids: for each vertex, edge-ports in sorted-edge order, then cores.
+    # A port lists its cores ascending, then its edge partner; a core lists
+    # its ports ascending.  The partner of the port in slot 2k + 1 is the
+    # already numbered port in slot 2k.
     port = [0] * (2 * len(edge_list))
-    port_ranges: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-    core_ranges: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-    node_count = 0
+    adj: list[list[int]] = []
     for v in range(1, n + 1):
-        start = node_count
+        ps = len(adj)
+        cs = ps + degs[v - 1]
+        cores = range(cs, cs + degs[v - 1] - f[v - 1])
         for slot in slots[v]:
-            port[slot] = node_count
-            node_count += 1
-        port_ranges[v] = (start, node_count)
-        cstart = node_count
-        node_count += degs[v - 1] - f[v - 1]
-        core_ranges[v] = (cstart, node_count)
-
-    adj: list[list[int]] = [[] for _ in range(node_count)]
-    for v in range(1, n + 1):
-        ps, pe = port_ranges[v]
-        cs, ce = core_ranges[v]
-        for p in range(ps, pe):
-            for c in range(cs, ce):
-                adj[p].append(c)
-                adj[c].append(p)
+            p = port[slot] = len(adj)
+            adj.append(list(cores))
+            if slot % 2:
+                adj[p].append(port[slot - 1])
+                adj[port[slot - 1]].append(p)
+        adj.extend(list(range(ps, cs)) for _ in cores)
     edge_ports = list(zip(port[0::2], port[1::2]))
-    for pu, pv in edge_ports:
-        adj[pu].append(pv)
-        adj[pv].append(pu)
 
     match, barrier = _perfect_matching(adj)
     if barrier is not None:

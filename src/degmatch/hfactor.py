@@ -20,6 +20,7 @@ from .core import (
     Matching,
     SpanningFactor,
     _family_holds,
+    _normalize_edge,
     canonical_h_factor,
 )
 from .errors import (
@@ -89,7 +90,10 @@ def near_one_factorization(m: int) -> list[Matching]:
 
 def _coerce_pairs(pairs: Iterable[tuple[int, int]] | Matching) -> list[tuple[int, int]]:
     raw = pairs.edges if isinstance(pairs, Matching) else pairs
-    return sorted((min(e), max(e)) for e in raw)
+    try:
+        return sorted(_normalize_edge(*e) for e in raw)
+    except TypeError:
+        raise InvalidInput("matching pairs must be (u, v) vertex pairs") from None
 
 
 def _near_matching_missed(vertices: tuple[int, ...], pairs: list[tuple[int, int]]) -> int:
@@ -117,16 +121,11 @@ def _near_classes_with(
         sigma[a] = idx
         sigma[b] = m - idx
     inv = {canon: v for v, canon in sigma.items()}
-    out = []
-    for cls in near_one_factorization(m):
-        canon_missed = next(
-            r for r in range(1, m + 1) if r not in {v for e in cls.edges for v in e}
-        )
-        mapped = sorted(
-            (min(inv[i], inv[j]), max(inv[i], inv[j])) for i, j in cls.edges
-        )
-        out.append((inv[canon_missed], mapped))
-    return out
+    # class r of near_one_factorization misses vertex r
+    return [
+        (inv[r], sorted(_normalize_edge(inv[i], inv[j]) for i, j in cls.edges))
+        for r, cls in enumerate(near_one_factorization(m), start=1)
+    ]
 
 
 def star_product(
@@ -156,8 +155,8 @@ def star_product(
     edges = set(itertools.combinations(a, 2)) - set(p1)
     edges |= set(itertools.combinations(b, 2)) - set(p2)
     for (a1, b1), (a2, b2) in zip(p1, p2):
-        edges.add((min(a1, a2), max(a1, a2)))
-        edges.add((min(b1, b2), max(b1, b2)))
+        edges.add(_normalize_edge(a1, a2))
+        edges.add(_normalize_edge(b1, b2))
     return LabeledGraph(size, frozenset(edges))
 
 
@@ -206,7 +205,7 @@ def merge_cliques_with_witness(
     edges = set(g.edges)
 
     def has(u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in edges
+        return _normalize_edge(u, v) in edges
 
     rem_a = list(a)
     rem_b = list(b)
@@ -244,16 +243,16 @@ def merge_cliques_with_witness(
             v1, v2, u1, u2 = swap
             edges.remove((v1, v2))
             edges.remove((u1, u2))
-            edges.add((min(v1, u1), max(v1, u1)))
-            edges.add((min(v2, u2), max(v2, u2)))
+            edges.add(_normalize_edge(v1, u1))
+            edges.add(_normalize_edge(v2, u2))
             switches += 1
             picked = (v1, u1, v2, u2)
         v1, u1, v2, u2 = picked
         witness_pairs.append(
             (
-                (min(v1, v2), max(v1, v2)),
-                (min(u1, u2), max(u1, u2)),
-                ((min(v1, u1), max(v1, u1)), (min(v2, u2), max(v2, u2))),
+                _normalize_edge(v1, v2),
+                _normalize_edge(u1, u2),
+                (_normalize_edge(v1, u1), _normalize_edge(v2, u2)),
             )
         )
         for v in (v1, v2):
@@ -316,11 +315,11 @@ def _round_robin_even(vertices: Sequence[int]) -> list[list[tuple[int, int]]]:
     rest = vs[:-1]
     rounds = []
     for r in range(m - 1):
-        pairs = [(min(hub, rest[r]), max(hub, rest[r]))]
+        pairs = [_normalize_edge(hub, rest[r])]
         for i in range(1, m // 2):
             u = rest[(r + i) % (m - 1)]
             v = rest[(r - i) % (m - 1)]
-            pairs.append((min(u, v), max(u, v)))
+            pairs.append(_normalize_edge(u, v))
         rounds.append(sorted(pairs))
     return rounds
 

@@ -10,6 +10,12 @@ hh_realize (a full sort of the vertices at every step) and of the
 realize_mplus descent (two bisections and a shape test at every step).  The
 library's versions must build byte-identical graphs.
 
+max_matching is not independent: it runs the library's own blossom search
+(graphic._greedy_matching and graphic._find_and_augment) to completion,
+then a Berge certification pass.  The library only needs perfect matchings;
+this maximum-matching loop lets the brute-force and networkx size checks
+and the ORACLE_DIGEST stream test the shared search on graphs without one.
+
 At the end, assert_validated_matching holds a Matching built without
 validation against the validating constructor, and gnp_sequence draws the
 random-graph degree sequences of the property tests.
@@ -23,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import neg
 
-from degmatch import DegreeSequence, LabeledGraph, Matching, canonical_matching, eg_check
+from degmatch import DegreeSequence, LabeledGraph, Matching, canonical_matching, eg_check, graphic
 from degmatch.errors import InvariantViolation, NotGraphicError, PreconditionError
 from degmatch.mplus import RealizeTrace, _terminal_edges, star_check
 
@@ -315,6 +321,34 @@ def realize_mplus_trace_bisect(seq: DegreeSequence) -> RealizeTrace:
     if not canonical_matching(n, "plus").edges <= graph.edges:
         raise InvariantViolation(f"matching containment audit failed for {seq}")
     return RealizeTrace(graph=graph, steps=len(stack), terminal=terminal)
+
+
+def _max_matching_raw(n: int, adj: list[list[int]]) -> list[int]:
+    match = [-1] * n
+    graphic._greedy_matching(adj, match)
+    for v in range(n):
+        if match[v] < 0:
+            graphic._find_and_augment(n, adj, match, v)
+    # certification pass: one more scan over every exposed vertex must find
+    # no augmenting path, which by Berge's lemma certifies maximality
+    for v in range(n):
+        if match[v] < 0 and graphic._find_and_augment(n, adj, match, v) is None:
+            raise InvariantViolation("matching was not maximum after main loop")
+    return match
+
+
+def max_matching(g: LabeledGraph) -> Matching:
+    """A maximum-cardinality matching of g (deterministic)."""
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edge_list():
+        adj[i - 1].append(j - 1)
+        adj[j - 1].append(i - 1)
+    match = _max_matching_raw(n, adj)
+    edges = frozenset(
+        (v + 1, match[v] + 1) for v in range(n) if match[v] > v
+    )
+    return Matching(n, edges)
 
 
 def assert_validated_matching(m: Matching) -> None:

@@ -1,13 +1,23 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import degmatch
-from degmatch import degree_sequences, lovasz_pm_check, perfect_matchings, realize_matching_oracle
+from degmatch import (
+    DegreeSequence,
+    Matching,
+    degree_sequences,
+    lovasz_pm_check,
+    perfect_matchings,
+    realize_matching_oracle,
+)
 from degmatch.cli import run
+
+from oracles import gnp_sequence
 
 
 def test_check_graphic_pass(capsys):
@@ -60,6 +70,28 @@ def test_realize_exit_code_matches_oracle_up_to_n6(capsys):
             for m in perfect_matchings(n):
                 expected = 1 if realize_matching_oracle(seq, m) is None else 0
                 assert run(["realize", str(m), text]) == expected, (str(m), text)
+
+
+def test_realize_exit_code_matches_oracle_sampled_n8_to_n14(capsys):
+    # uniform draws alone are mostly "no"; every other draw is a G(n, p)
+    # sequence (uniform if a vertex is isolated), which brings the "yes"
+    # share above a third
+    rng = random.Random(14)
+    answers = []
+    for n in (8, 10, 12, 14):
+        for i in range(60):
+            seq = gnp_sequence(rng, n, rng.uniform(0.3, 0.9)) if i % 2 else None
+            if seq is None:
+                seq = DegreeSequence(
+                    tuple(sorted((rng.randint(1, n - 1) for _ in range(n)), reverse=True))
+                )
+            labels = rng.sample(range(1, n + 1), n)
+            m = Matching(n, zip(labels[0::2], labels[1::2]))
+            expected = 1 if realize_matching_oracle(seq, m) is None else 0
+            text = ",".join(map(str, seq))
+            assert run(["realize", str(m), text]) == expected, (str(m), text)
+            answers.append(expected)
+    assert answers.count(0) * 3 >= len(answers)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from degmatch import (
     graph_to_text,
     hh_realize,
     lift_switch,
-    max_matching,
     pack,
     perfect_matchings,
     realize_matching_oracle,
@@ -36,6 +35,8 @@ from degmatch import (
     star_check,
     switch_path,
 )
+
+from oracles import max_matching
 
 REPORTS_DIGEST = "960f23ca45e0698cd85d031346380c338681670b30f1bfd9ed7c5099cdba8455"
 REALIZERS_DIGEST = "961a0f44246a4ef1fa3dc9b62decc531634c409c6f0101c1b0b0c3d9d403de99"
@@ -182,9 +183,9 @@ def _oracle_lines():
     """The exact oracle and its callers on a seeded corpus.
 
     f_factor on random hosts (n 4-40) with mixed targets, odd totals
-    included; max_matching on random graphs; realize_matching_oracle on
-    G(n, 1/2) sequences that pass STAR (yes) and on threshold sequences
-    (almost always no); hfactor_oracle with h = 2 and 3; pack under the
+    included; the reference max_matching (tests/oracles.py) on random
+    graphs; realize_matching_oracle on G(n, 1/2) sequences that pass STAR
+    (yes) and on threshold sequences (almost always no); hfactor_oracle with h = 2 and 3; pack under the
     degree-product hypothesis 2 * D1 * D2 < n.  A negative answer yields 'None'.
     """
     def text(g):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from degmatch import (
     DegreeSequence,
@@ -18,7 +20,6 @@ from degmatch import (
     graph_to_text,
     hh_realize,
     lovasz_pm_check,
-    max_matching,
 )
 from degmatch import graphic
 from degmatch.switches import realize_matching_oracle
@@ -26,9 +27,11 @@ from degmatch.core import canonical_matching, perfect_matchings
 
 from oracles import (
     f_factor_exists_brute,
+    gnp_sequence,
     graphic_by_search,
     has_perfect_matching_brute,
     hh_realize_sorted,
+    max_matching,
     max_matching_size_brute,
     realization_with_edges_exists,
 )
@@ -78,6 +81,19 @@ class TestHhRealize:
         g = hh_realize(DegreeSequence((3, 3, 2, 2)))
         assert g.edge_list() == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
         assert g == hh_realize(DegreeSequence((3, 3, 2, 2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(20, 200),
+        percent=st.integers(10, 90),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_graphs_beyond_exhaustive_range(self, n, percent, seed):
+        seq = gnp_sequence(random.Random(seed), n, percent / 100)
+        assume(seq is not None)
+        g = hh_realize(seq)
+        assert g.degree_vector() == seq.entries
+        assert graph_to_text(hh_realize(seq)) == graph_to_text(g)
 
 
 class TestHhRealizeReference:

@@ -158,6 +158,11 @@ class TestStarProduct:
         with pytest.raises(InvalidInput):
             star_product({1, 2, 3}, {4, 5, 6, 7, 8}, [(1, 2)], [(4, 5), (6, 7)])
 
+    @pytest.mark.parametrize("m1", [[(1, 2, 3)], [(2,)]])
+    def test_pair_of_wrong_length_rejected(self, m1):
+        with pytest.raises(InvalidInput):
+            star_product({1, 2, 3}, {4, 5, 6}, m1, [(4, 5)])
+
 
 class TestMergeCliques:
     def test_two_triangles_single_switch(self):

@@ -22,6 +22,7 @@ from degmatch import (
     degree_sequences,
     graph_to_text,
     lift_switch,
+    lovasz_pm_check,
     matching_from_text,
     perfect_matchings,
     phi,
@@ -287,6 +288,37 @@ class TestOracle:
 
     def test_forced(self):
         assert realize_matching_oracle(DegreeSequence((1, 1, 1, 1)), M2).edges == M2.edges
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(10, 16).map(lambda half: 2 * half),
+        percent=st.integers(10, 90),
+        leaves=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=24, percent=30, leaves=8, seed=1)  # fails STAR, has a perfect matching
+    @example(n=32, percent=50, leaves=10, seed=0)  # no perfect matching
+    def test_random_graphs_beyond_exhaustive_range(self, n, percent, leaves, seed):
+        # G(n, p) sequences alone pass STAR; pendant leaves on the top vertex
+        # of a G(n - leaves, p) sample bring both verdicts of both checks
+        rng = random.Random(seed)
+        core = gnp_sequence(rng, n - leaves, percent / 100)
+        assume(core is not None)
+        top, *rest = core.entries
+        seq = DegreeSequence((top + leaves, *rest) + (1,) * leaves)
+        verts = list(range(1, n + 1))
+        rng.shuffle(verts)
+        plus, minus = canonical_matching(n, "plus"), canonical_matching(n, "minus")
+        m = Matching(n, zip(verts[0::2], verts[1::2]))
+        witnesses = {mm: realize_matching_oracle(seq, mm) for mm in (plus, minus, m)}
+        # the main theorem, and result (1): a perfect matching iff the nested one
+        assert (witnesses[plus] is not None) == star_check(seq).verdict
+        assert (witnesses[minus] is not None) == lovasz_pm_check(seq)
+        for mm, g in witnesses.items():
+            if g is not None:
+                assert g.degree_vector() == seq.entries
+                assert mm.edges <= g.edges
+        assert str(realize_matching_oracle(seq, m)) == str(witnesses[m])
 
 
 class TestMatchingText:
