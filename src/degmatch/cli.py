@@ -17,13 +17,13 @@ from .core import (
     DegreeSequence,
     LabeledGraph,
     _pairs_text,
+    canonical_h_factor,
     canonical_matching,
     graph_to_text,
 )
 from .errors import (
     DegmatchError,
     InvalidInput,
-    InvariantViolation,
     NotGraphicError,
     PreconditionError,
 )
@@ -32,12 +32,7 @@ from .hfactor import disjoint_pms, doublestar_check, hfactor_oracle
 from .mplus import corollary_bound_holds, realize_mplus, star_check, tightness_instance
 from .packing import OVERFULL_NOTE, pack_report
 from .preorder import build_preorder, check_conjectures, hasse_dot
-from .switches import (
-    matching_from_text,
-    realize_matching_oracle,
-    realize_matching_switchwise,
-    switch_path,
-)
+from .switches import matching_from_text, realize_matching, switch_path
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -130,10 +125,7 @@ def _cmd_realize_mplus(args: argparse.Namespace) -> int:
 def _cmd_realize(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
     m = matching_from_text(args.matching, n=seq.n)
-    if star_check(seq).verdict:
-        g = realize_matching_switchwise(seq, m)
-    else:
-        g = realize_matching_oracle(seq, m)
+    g = realize_matching(seq, m)
     if g is None:
         text = f"no realization of {seq} contains {m}"
         return _emit_verdict("matching", False, text, args.json)
@@ -226,35 +218,22 @@ def _cmd_hfactor_realize(args: argparse.Namespace) -> int:
     if g is None:
         text = f"no realization of {seq} contains the canonical {args.h}-factor"
         return _emit_verdict(f"h-factor({args.h})", False, text, args.json)
-    from .core import canonical_h_factor
-
     return _audit_and_print(g, seq, canonical_h_factor(seq.n, args.h).edges, args.json)
 
 
 def _cmd_disjoint_pms(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.sequence)
-    if args.h == 1:
-        # Exact: some realization has a perfect matching iff one realizes the
-        # nested matching (the paper's result (1)), and lovasz_pm_check
-        # decides the former independently.
-        if not lovasz_pm_check(seq):
-            text = f"not constructible: no realization of {seq} has a perfect matching"
-            return _emit_verdict("disjoint-pms(1)", False, text, args.json)
-        pms = [canonical_matching(seq.n, "minus")]
-        g = realize_matching_oracle(seq, pms[0])
-        if g is None:
-            raise InvariantViolation(f"{seq} has a perfect matching but cannot realize {pms[0]}")
-    else:
-        try:
-            g, pms = disjoint_pms(seq, args.h)
-        except PreconditionError as exc:
-            # Odd n, a degree below h, or no perfect matching in any realization
-            # rule out h disjoint ones; other misses only say the construction
-            # does not apply, so they stay undecided (exit 2).
-            if seq.n % 2 == 0 and seq.entries[-1] >= args.h and lovasz_pm_check(seq):
-                raise PreconditionError(f"undecided: {exc}") from exc
-            text = f"not constructible: {exc}"
-            return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
+    try:
+        g, pms = disjoint_pms(seq, args.h)
+    except PreconditionError as exc:
+        # Odd n, a degree below h, or no perfect matching in any realization
+        # rule out h disjoint ones; other misses only say the construction
+        # does not apply, so they stay undecided (exit 2).  For h = 1 the
+        # library's answer is exact, so a miss is always one of these.
+        if seq.n % 2 == 0 and seq.entries[-1] >= args.h and lovasz_pm_check(seq):
+            raise PreconditionError(f"undecided: {exc}") from exc
+        text = f"not constructible: {exc}"
+        return _emit_verdict(f"disjoint-pms({args.h})", False, text, args.json)
     if args.json:
         print(
             json.dumps(
@@ -277,7 +256,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"schema": 1, **report}))
     else:
-        print(f"hypothesis d1*d1 < n/2: {report['hypothesis']}")
+        print(f"hypothesis 2*max1*max2 < n: {report['hypothesis']}")
         print(f"packed: {report['success']}")
         if report["success"]:
             print(f"  edges1: {_pairs_text(report['edges1'])}")

@@ -71,6 +71,20 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_pairs(n: int, edges: Iterable[tuple[int, int]]) -> None:
+    """The package's one edge rule: every edge is a pair (i, j) with 1 <= i < j <= n."""
+    for i, j in edges:
+        if not 1 <= i < j <= n:
+            if i == j:
+                raise InvalidInput(f"loop at vertex {i}")
+            raise InvalidInput(f"edge ({i},{j}) out of range for n={n}")
+
+
+def _all_pairs(n: int) -> frozenset[tuple[int, int]]:
+    """The edge set of the complete graph on {1, ..., n}."""
+    return frozenset(itertools.combinations(range(1, n + 1), 2))
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """A simple graph on the vertex set {1, ..., n}.
@@ -94,11 +108,7 @@ class LabeledGraph:
         ) <= {int}:
             edges = frozenset((int(a), int(b)) for a, b in edges)
             object.__setattr__(self, "edges", edges)
-        for i, j in edges:
-            if not 1 <= i < j <= n:
-                if i == j:
-                    raise InvalidInput(f"loop at vertex {i}")
-                raise InvalidInput(f"edge ({i},{j}) out of range for n={n}")
+        _check_pairs(n, edges)
 
     @cached_property
     def _adjacency(self) -> tuple[frozenset[int], ...]:
@@ -128,21 +138,16 @@ class LabeledGraph:
         return sorted(self.edges)
 
     def complement(self) -> "LabeledGraph":
-        full = {(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)}
-        return LabeledGraph(self.n, frozenset(full - self.edges))
+        return LabeledGraph(self.n, _all_pairs(self.n) - self.edges)
 
     def __str__(self) -> str:
         return f"graph(n={self.n}, edges={self.edge_list()})"
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
-    """Build a simple graph, rejecting loops, duplicates and bad labels."""
+    """Build a simple graph from pairs in either order, rejecting duplicates."""
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
-        if u == v:
-            raise InvalidInput(f"loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InvalidInput(f"edge ({u},{v}) out of range for n={n}")
         e = _normalize_edge(u, v)
         if e in seen:
             raise InvalidInput(f"duplicate edge {e}")
@@ -151,12 +156,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
 
 
 def complete_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(
-        n,
-        frozenset(
-            (i, j) for i in range(1, n) for j in range(i + 1, n + 1)
-        ),
-    )
+    return LabeledGraph(n, _all_pairs(n))
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,9 @@ class Matching:
             _normalize_edge(int(a), int(b)) for a, b in self.edges
         )
         object.__setattr__(self, "edges", edges)
+        _check_pairs(self.n, edges)
         seen: set[int] = set()
         for i, j in edges:
-            if i == j:
-                raise InvalidInput(f"loop at vertex {i}")
-            if not (1 <= i < j <= self.n):
-                raise InvalidInput(f"edge ({i},{j}) out of range for n={self.n}")
             if i in seen or j in seen:
                 raise InvalidInput(f"edge ({i},{j}) overlaps another matching edge")
             seen.add(i)
@@ -237,10 +234,9 @@ class SpanningFactor:
     def __post_init__(self) -> None:
         edges = frozenset(_normalize_edge(int(a), int(b)) for a, b in self.edges)
         object.__setattr__(self, "edges", edges)
+        _check_pairs(self.n, edges)
         deg = [0] * (self.n + 1)
         for i, j in edges:
-            if not (1 <= i < j <= self.n):
-                raise InvalidInput(f"edge ({i},{j}) out of range for n={self.n}")
             deg[i] += 1
             deg[j] += 1
         bad = [v for v in range(1, self.n + 1) if deg[v] != self.h]

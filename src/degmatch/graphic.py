@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .core import CheckReport, DegreeSequence, LabeledGraph, _family_holds
+from .core import CheckReport, DegreeSequence, LabeledGraph, _all_pairs, _family_holds
 from .errors import InvalidInput, InvariantViolation, NotGraphicError
 
 
@@ -323,7 +323,7 @@ def _realize_containing(
     """
     if seq.entries[-1] < h or (seq.total() - h * seq.n) % 2:
         return None
-    rest = f_factor(LabeledGraph(seq.n, fixed_edges).complement(), seq.decremented(h))
+    rest = f_factor(LabeledGraph(seq.n, _all_pairs(seq.n) - fixed_edges), seq.decremented(h))
     if rest is None:
         return None
     out = LabeledGraph(seq.n, rest.edges | fixed_edges)

@@ -3,9 +3,9 @@
 doublestar_check generalizes the star inequality family from perfect
 matchings (h=1) to the canonical h-factor made of consecutive K_{h+1}
 blocks; hfactor_oracle decides realizability exactly via the f-factor
-kernel.  merge_cliques and the star product turn two odd clique blocks into
-a 1-factorable merged graph, which disjoint_pms uses to extract h pairwise
-disjoint perfect matchings from one realization.
+kernel.  merge_cliques_with_witness and the star product turn two odd clique
+blocks into a 1-factorable merged graph, which disjoint_pms uses to extract
+h pairwise disjoint perfect matchings from one realization.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ from .core import (
     _family_holds,
     _normalize_edge,
     canonical_h_factor,
+    canonical_matching,
+    degree_sequences,
 )
 from .errors import (
     InvalidInput,
@@ -29,7 +31,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .graphic import _realize_containing
+from .graphic import _realize_containing, lovasz_pm_check
 
 
 def doublestar_check(seq: DegreeSequence, h: int) -> CheckReport:
@@ -273,13 +275,6 @@ def merge_cliques_with_witness(
     return out, witness
 
 
-def merge_cliques(
-    g: LabeledGraph, a_vertices: Iterable[int], b_vertices: Iterable[int]
-) -> LabeledGraph:
-    """merge_cliques_with_witness, discarding the wiring details."""
-    return merge_cliques_with_witness(g, a_vertices, b_vertices)[0]
-
-
 def _witness_pair_pms(witness: MergeWitness) -> list[list[tuple[int, int]]]:
     """The 2k perfect matchings of the merged pair, from the merge witness.
 
@@ -327,13 +322,23 @@ def _round_robin_even(vertices: Sequence[int]) -> list[list[tuple[int, int]]]:
 def disjoint_pms(seq: DegreeSequence, h: int) -> tuple[LabeledGraph, list[Matching]]:
     """A realization of seq together with h pairwise disjoint perfect matchings.
 
-    Requires the doublestar family to pass and the canonical h-factor to be
+    h = 1 is exact: lovasz_pm_check decides it, and the nested matching is
+    realizable whenever any perfect matching is (the paper's result (1)).
+    Otherwise the doublestar family must pass and the canonical h-factor be
     realizable.  Odd h: each K_{h+1} block 1-factorizes directly.  Even h:
     consecutive blocks are merged pairwise into 1-factorable star products.
     """
     n = seq.n
     if h < 1:
         raise InvalidInput(f"regularity h must be >= 1, got {h}")
+    if h == 1:
+        if not lovasz_pm_check(seq):
+            raise PreconditionError(f"no realization of {seq} has a perfect matching")
+        m = canonical_matching(n, "minus")
+        g = _realize_containing(seq, m.edges, 1)
+        if g is None:
+            raise InvariantViolation(f"{seq} has a perfect matching but cannot realize {m}")
+        return g, [m]
     if n % 2:
         raise PreconditionError("disjoint perfect matchings need even n")
     if seq.entries[-1] < h:
@@ -492,8 +497,6 @@ def conjecture_scan(h: int, n: int) -> list[dict]:
     note marks the explainable ones (minimum degree below h, which no row
     of the family can express).
     """
-    from .core import degree_sequences
-
     records = []
     for seq in degree_sequences(n):
         family = doublestar_check(seq, h).verdict

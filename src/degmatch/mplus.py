@@ -17,7 +17,8 @@ from .core import (
     CheckReport,
     DegreeSequence,
     LabeledGraph,
-    canonical_matching,
+    _all_pairs,
+    _canonical_edges,
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError
 from .graphic import eg_check
@@ -64,7 +65,7 @@ def _terminal_edges(
         and d[k + 1] == 2
         and (k + 2 == n or d[k + 2] == 1)
     ):
-        edges = {(i, j) for i in range(1, k + 2) for j in range(i + 1, k + 2)}
+        edges = set(_all_pairs(k + 1))
         edges.remove((k, k + 1))
         edges.add((k, k + 2))
         edges.add((k + 1, k + 2))
@@ -80,7 +81,7 @@ def _terminal_edges(
         and d[k] == k + 1
         and total - (k + 1) ** 2 - (n - k - 1) == k
     ):
-        edges = {(i, j) for i in range(1, k + 2) for j in range(i + 1, k + 2)}
+        edges = set(_all_pairs(k + 1))
         edges.add((k + 1, k + 2))
         for i in range(k + 3, n, 2):
             edges.add((i, i + 1))
@@ -127,7 +128,6 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
     # inline necessary condition of shape (a) or (c) holds.
     stack: list[tuple[int, int]] = []
     terminal: str | None = None
-    edges: set[tuple[int, int]]
     p0 = n - 1
     t0 = 0
     while total > n:
@@ -149,7 +149,7 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
         stack.append((t0 + 1, p0 + 1))
     else:
         # base case: the matching itself realizes the all-ones residue
-        edges = {(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)}
+        edges = _canonical_edges(n, "plus")
 
     # Ascent over bitset adjacency: either the decremented edge is simply
     # re-added, or a degree-preserving square exchange makes room for it.
@@ -194,7 +194,7 @@ def realize_mplus_trace(seq: DegreeSequence) -> RealizeTrace:
     graph = LabeledGraph(n, frozenset(out_edges))
     if graph.degree_vector() != seq.entries:
         raise InvariantViolation(f"degree audit failed for {seq}")
-    if not canonical_matching(n, "plus").edges <= graph.edges:
+    if not graph.edges.issuperset(_canonical_edges(n, "plus")):
         raise InvariantViolation(f"matching containment audit failed for {seq}")
     return RealizeTrace(graph=graph, steps=len(stack), terminal=terminal)
 

@@ -12,7 +12,8 @@ and the target nested; up to the consecutive-pairs maximum, the reverse.
 switch_path walks on one sorted edge list.  lift_switch transports a switch
 to a degree-preserving edit of a host graph, which yields the switchwise
 realizer for arbitrary labelled matchings.  An independent f-factor oracle
-decides realizability of any matching for cross-validation.
+decides realizability of any matching; realize_matching uses it only
+where star_check fails.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .core import (
 )
 from .errors import InvalidInput, InvariantViolation, PreconditionError, ResourceLimitError
 from .graphic import _realize_containing
-from .mplus import realize_mplus
+from .mplus import realize_mplus, star_check
 
 
 def matching_from_text(text: str, n: int | None = None) -> Matching:
@@ -305,3 +306,15 @@ def realize_matching_oracle(
     if not m.is_perfect:
         raise PreconditionError("oracle target matching must be perfect")
     return _realize_containing(seq, m.edges, 1)
+
+
+def realize_matching(seq: DegreeSequence, m: Matching) -> LabeledGraph | None:
+    """A realization of seq containing the perfect matching m, or None.
+
+    When star_check passes, the consecutive-pairs matching is realizable and
+    so is every perfect matching: the switchwise realizer builds the witness.
+    Otherwise the exact oracle decides.
+    """
+    if star_check(seq).verdict:
+        return realize_matching_switchwise(seq, m)
+    return realize_matching_oracle(seq, m)

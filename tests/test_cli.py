@@ -13,6 +13,7 @@ from degmatch import (
     degree_sequences,
     lovasz_pm_check,
     perfect_matchings,
+    realize_matching,
     realize_matching_oracle,
 )
 from degmatch.cli import run
@@ -88,6 +89,7 @@ def test_realize_exit_code_matches_oracle_sampled_n8_to_n14(capsys):
             labels = rng.sample(range(1, n + 1), n)
             m = Matching(n, zip(labels[0::2], labels[1::2]))
             expected = 1 if realize_matching_oracle(seq, m) is None else 0
+            assert (realize_matching(seq, m) is None) == bool(expected)
             text = ",".join(map(str, seq))
             assert run(["realize", str(m), text]) == expected, (str(m), text)
             answers.append(expected)
@@ -235,6 +237,7 @@ def test_python_m_degmatch_exit_codes(argv, code):
 
 def test_pack(capsys):
     assert run(["pack", "1,1,1,1", "1,1,1,1"]) == 0
+    assert capsys.readouterr().out.startswith("hypothesis 2*max1*max2 < n: True\n")
     assert run(["pack", "3,3,3,3", "3,3,3,3"]) == 1
     assert "no packing exists" in capsys.readouterr().out
 

@@ -68,6 +68,87 @@ class TestBuildGraph:
             build_graph(3, [(1, 4)])
 
 
+# One row per single fault and constructor; each message names the fault.
+# build_graph and graph_from_text report a pair in i < j order, after
+# normalization, and a vertex count below 1 before any edge.
+_VALIDATION_MESSAGES = [
+    ("build_graph-loop", lambda: build_graph(3, [(2, 2)]), "loop at vertex 2"),
+    ("build_graph-label-0", lambda: build_graph(3, [(0, 2)]), "edge (0,2) out of range for n=3"),
+    ("build_graph-label-n+1", lambda: build_graph(3, [(1, 4)]), "edge (1,4) out of range for n=3"),
+    ("build_graph-reversed", lambda: build_graph(3, [(4, 1)]), "edge (1,4) out of range for n=3"),
+    ("build_graph-duplicate", lambda: build_graph(3, [(1, 2), (2, 1)]), "duplicate edge (1, 2)"),
+    ("build_graph-n-below-1", lambda: build_graph(0, [(1, 2)]), "graph needs at least one vertex"),
+    ("graph_from_text-loop", lambda: graph_from_text("3\n2 2\n"), "loop at vertex 2"),
+    (
+        "graph_from_text-label-0",
+        lambda: graph_from_text("3\n0 2\n"),
+        "edge (0,2) out of range for n=3",
+    ),
+    (
+        "graph_from_text-label-n+1",
+        lambda: graph_from_text("3\n1 4\n"),
+        "edge (1,4) out of range for n=3",
+    ),
+    (
+        "graph_from_text-reversed",
+        lambda: graph_from_text("3\n4 1\n"),
+        "edge (1,4) out of range for n=3",
+    ),
+    (
+        "graph_from_text-duplicate",
+        lambda: graph_from_text("3\n1 2\n2 1\n"),
+        "duplicate edge (1, 2)",
+    ),
+    (
+        "graph_from_text-n-below-1",
+        lambda: graph_from_text("0\n1 2\n"),
+        "graph needs at least one vertex",
+    ),
+    ("Matching-loop", lambda: Matching(4, {(2, 2)}), "loop at vertex 2"),
+    ("Matching-label-0", lambda: Matching(4, {(0, 2)}), "edge (0,2) out of range for n=4"),
+    ("Matching-label-n+1", lambda: Matching(4, {(1, 5)}), "edge (1,5) out of range for n=4"),
+    ("Matching-reversed", lambda: Matching(4, {(5, 1)}), "edge (1,5) out of range for n=4"),
+    (
+        "Matching-overlap",
+        lambda: Matching(4, {(1, 2), (2, 3)}),
+        "edge (1,2) overlaps another matching edge",
+    ),
+    ("Matching-n-below-1", lambda: Matching(0, set()), "matching needs at least one vertex"),
+    ("SpanningFactor-loop", lambda: SpanningFactor(3, 2, {(2, 2)}), "loop at vertex 2"),
+    (
+        "SpanningFactor-label-0",
+        lambda: SpanningFactor(3, 1, {(0, 2)}),
+        "edge (0,2) out of range for n=3",
+    ),
+    (
+        "SpanningFactor-label-n+1",
+        lambda: SpanningFactor(3, 1, {(1, 4)}),
+        "edge (1,4) out of range for n=3",
+    ),
+    (
+        "SpanningFactor-reversed",
+        lambda: SpanningFactor(3, 1, {(4, 1)}),
+        "edge (1,4) out of range for n=3",
+    ),
+    (
+        "SpanningFactor-degree",
+        lambda: SpanningFactor(4, 1, {(1, 2)}),
+        "not 1-regular: vertices [3, 4] have wrong degree",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [row[1:] for row in _VALIDATION_MESSAGES],
+    ids=[row[0] for row in _VALIDATION_MESSAGES],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(InvalidInput) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 class TestLabeledGraph:
     @pytest.mark.parametrize(
         "edges, message",

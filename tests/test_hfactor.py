@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import degmatch
 from degmatch import (
     DegreeSequence,
     InvalidInput,
@@ -20,8 +21,9 @@ from degmatch import (
     doublestar_check,
     enumerate_realizations,
     enumerate_two_factors,
+    canonical_matching,
     hfactor_oracle,
-    merge_cliques,
+    lovasz_pm_check,
     merge_cliques_with_witness,
     near_one_factorization,
     star_check,
@@ -197,7 +199,7 @@ class TestMergeCliques:
             ]
             edges |= set(rng.sample(pool, rng.randint(0, len(pool) // 2)))
             g = LabeledGraph(n, frozenset(edges))
-            out = merge_cliques(g, a, b)
+            out = merge_cliques_with_witness(g, a, b)[0]
             inside = set(a) | set(b)
             assert out.degree_vector() == g.degree_vector()
             assert {e for e in g.edges if not set(e) <= inside} == {
@@ -207,7 +209,11 @@ class TestMergeCliques:
     def test_incomplete_clique_rejected(self):
         g = build_graph(6, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 6)])
         with pytest.raises(PreconditionError):
-            merge_cliques(g, (1, 2, 3), (4, 5, 6))
+            merge_cliques_with_witness(g, (1, 2, 3), (4, 5, 6))
+
+    def test_wrapper_without_witness_is_gone(self):
+        assert not hasattr(degmatch, "merge_cliques")
+        assert not hasattr(degmatch.hfactor, "merge_cliques")
 
     def test_witness_factorizes(self):
         g = LabeledGraph(
@@ -270,6 +276,28 @@ class TestDisjointPms:
             disjoint_pms(DegreeSequence((5, 5, 2, 2, 2, 2)), 2)  # family fails
         with pytest.raises(PreconditionError):
             disjoint_pms(DegreeSequence((2, 2, 2, 2, 2, 2, 2, 2, 2)), 2)  # odd n
+
+    def test_h1_is_exact_and_uses_the_nested_matching(self):
+        # result (1): a perfect matching in some realization <=> the nested
+        # matching in some realization; lovasz_pm_check decides the former
+        for n in (2, 4, 6, 8):
+            nested = canonical_matching(n, "minus")
+            for seq in degree_sequences(n):
+                if not lovasz_pm_check(seq):
+                    with pytest.raises(PreconditionError):
+                        disjoint_pms(seq, 1)
+                    continue
+                g, pms = disjoint_pms(seq, 1)
+                assert pms == [nested]
+                assert g.degree_vector() == seq.entries and nested.edges <= g.edges
+
+    def test_h1_off_the_star_family(self):
+        # (3,2,2,1) fails STAR, so the canonical 1-factor route does not apply
+        seq = DegreeSequence((3, 2, 2, 1))
+        assert not star_check(seq).verdict
+        g, pms = disjoint_pms(seq, 1)
+        assert [str(m) for m in pms] == ["1-4,2-3"]
+        assert g.edge_list() == [(1, 2), (1, 3), (1, 4), (2, 3)]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_h_below_1_is_invalid_before_parity(self, n):
