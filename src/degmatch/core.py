@@ -232,6 +232,8 @@ class SpanningFactor:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InvalidInput("factor needs at least one vertex")
         edges = frozenset(_normalize_edge(int(a), int(b)) for a, b in self.edges)
         object.__setattr__(self, "edges", edges)
         _check_pairs(self.n, edges)
@@ -466,14 +468,11 @@ def perfect_matchings(n: int) -> Iterator[Matching]:
     yield from rec(list(range(1, n + 1)), [])
 
 
-def degree_sequences(
-    n: int, max_degree: int | None = None
-) -> Iterator[DegreeSequence]:
-    """All weakly decreasing sequences with 1 <= d_i <= max_degree (default n-1)."""
-    hi = n - 1 if max_degree is None else min(max_degree, n - 1)
-    if hi < 1:
+def degree_sequences(n: int) -> Iterator[DegreeSequence]:
+    """All weakly decreasing sequences with 1 <= d_i <= n - 1."""
+    if n < 2:
         return
-    for tup in itertools.combinations_with_replacement(range(hi, 0, -1), n):
+    for tup in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
         yield DegreeSequence(tup)
 
 

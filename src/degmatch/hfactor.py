@@ -301,22 +301,20 @@ def _witness_pair_pms(witness: MergeWitness) -> list[list[tuple[int, int]]]:
 
 
 def _round_robin_even(vertices: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """1-factorization of an even clique; the highest label is the fixed hub."""
-    vs = sorted(vertices)
-    m = len(vs)
-    if m % 2:
+    """1-factorization of an even clique; the highest label is the fixed hub.
+
+    Round r is class r of near_one_factorization on the lower labels, plus the
+    edge from the hub to the vertex r that class misses.
+    """
+    *rest, hub = sorted(vertices)
+    if len(rest) % 2 == 0:
         raise InvalidInput("even clique expected")
-    hub = vs[-1]
-    rest = vs[:-1]
-    rounds = []
-    for r in range(m - 1):
-        pairs = [_normalize_edge(hub, rest[r])]
-        for i in range(1, m // 2):
-            u = rest[(r + i) % (m - 1)]
-            v = rest[(r - i) % (m - 1)]
-            pairs.append(_normalize_edge(u, v))
-        rounds.append(sorted(pairs))
-    return rounds
+    if len(rest) == 1:
+        return [[(rest[0], hub)]]
+    return [
+        sorted([(rest[r - 1], hub)] + [(rest[i - 1], rest[j - 1]) for i, j in cls.edges])
+        for r, cls in enumerate(near_one_factorization(len(rest)), 1)
+    ]
 
 
 def disjoint_pms(seq: DegreeSequence, h: int) -> tuple[LabeledGraph, list[Matching]]:
@@ -465,9 +463,7 @@ def two_factor_realizable(seq: DegreeSequence, factor: SpanningFactor) -> bool:
     return _realize_containing(seq, factor.edges, 2) is not None
 
 
-def common_realizable_two_factors(
-    seqs: Sequence[DegreeSequence], node_budget: int = 5_000_000
-) -> list[SpanningFactor]:
+def common_realizable_two_factors(seqs: Sequence[DegreeSequence]) -> list[SpanningFactor]:
     """2-factors realizable by every sequence in seqs.
 
     The candidate pool is the union of 2-factors over all realizations of
@@ -477,7 +473,7 @@ def common_realizable_two_factors(
     if not seqs:
         raise InvalidInput("need at least one sequence")
     pool: dict[frozenset[tuple[int, int]], SpanningFactor] = {}
-    for g in enumerate_realizations(seqs[0], node_budget=node_budget):
+    for g in enumerate_realizations(seqs[0]):
         for tf in enumerate_two_factors(g):
             pool[tf.edges] = tf
     keep = [

@@ -8,6 +8,7 @@ Hasse rendering collapses mutually comparable matchings into one node.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,55 +60,39 @@ def _relabel_matching(m: Matching, a: int, b: int) -> Matching:
     )
 
 
-def _orbit_representatives(
-    seq: DegreeSequence, matchings: tuple[Matching, ...], index_of: dict[Matching, int]
-) -> list[list[int]]:
-    """Partition matching indices into orbits under degree-preserving label swaps.
-
-    Transposing two labels with equal degree maps realizable matchings to
-    realizable matchings, so one oracle call per orbit suffices.
-    """
-    parent = list(range(len(matchings)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    swaps = [
-        i for i in range(1, seq.n) if seq.entries[i - 1] == seq.entries[i]
-    ]
-    for idx, m in enumerate(matchings):
-        for i in swaps:
-            union(idx, index_of[_relabel_matching(m, i, i + 1)])
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(matchings)):
-        groups.setdefault(find(idx), []).append(idx)
-    return list(groups.values())
-
-
 def realizability_matrix(
     seqs: Sequence[DegreeSequence], matchings: tuple[Matching, ...]
 ) -> list[tuple[bool, ...]]:
     """Oracle realizability of every matching (columns) under every sequence (rows).
 
-    One oracle call per orbit of matchings under degree-preserving label
-    swaps; the oracle is invariant under such relabelings.
+    A label transposition permutes matching indices the same way for every
+    sequence, so one table per call holds swaps[i - 1][j], the index of
+    matching j with labels i and i + 1 exchanged.  The oracle is invariant
+    under transposing two labels of equal degree; each sequence's orbits
+    follow those swaps, and the oracle runs once per orbit, on its smallest
+    index.
     """
     index_of = {m: i for i, m in enumerate(matchings)}
+    n = matchings[0].n if matchings else 0
+    swaps = [
+        [index_of[_relabel_matching(m, i, i + 1)] for m in matchings] for i in range(1, n)
+    ]
     rows = []
     for seq in seqs:
-        row = [False] * len(matchings)
-        for orbit in _orbit_representatives(seq, matchings, index_of):
-            hit = realize_matching_oracle(seq, matchings[orbit[0]]) is not None
-            for idx in orbit:
-                row[idx] = hit
+        d = seq.entries
+        active = [swaps[i - 1] for i in range(1, seq.n) if d[i - 1] == d[i]]
+        row: list[bool | None] = [None] * len(matchings)
+        for j, m in enumerate(matchings):
+            if row[j] is not None:
+                continue
+            hit = row[j] = realize_matching_oracle(seq, m) is not None
+            stack = [j]
+            while stack:
+                k = stack.pop()
+                for perm in active:
+                    if row[perm[k]] is None:
+                        row[perm[k]] = hit
+                        stack.append(perm[k])
         rows.append(tuple(row))
     return rows
 
@@ -123,42 +108,33 @@ def build_preorder(n: int) -> PreorderTable:
     sequences = tuple(s for s in degree_sequences(n) if lovasz_pm_check(s))
     realizable = tuple(realizability_matrix(sequences, matchings))
 
-    size = len(matchings)
-    leq_rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            row.append(all(row_s[i] for row_s in realizable if row_s[j]))
-        leq_rows.append(tuple(row))
+    # cols[j] has bit s set iff sequence s realizes M_j, so M_i <= M_j iff
+    # cols[j] is contained in cols[i]
+    cols = [
+        sum(1 << s for s, row in enumerate(realizable) if row[j])
+        for j in range(len(matchings))
+    ]
     return PreorderTable(
         n=n,
         matchings=matchings,
         sequences=sequences,
         realizable=realizable,
-        leq=tuple(leq_rows),
+        leq=tuple(tuple(cj & ~ci == 0 for cj in cols) for ci in cols),
         plus_index=index_of[canonical_matching(n, "plus")],
         minus_index=index_of[canonical_matching(n, "minus")],
     )
 
 
 def _comparability_classes(table: PreorderTable) -> list[list[int]]:
-    """Classes of mutually comparable matchings, sorted by smallest member."""
-    size = len(table.matchings)
-    seen = [False] * size
-    classes = []
-    for i in range(size):
-        if seen[i]:
-            continue
-        cls = [
-            j
-            for j in range(size)
-            if table.leq[i][j] and table.leq[j][i]
-        ]
-        for j in cls:
-            seen[j] = True
-        classes.append(sorted(cls))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    """Classes of mutually comparable matchings, sorted by smallest member.
+
+    In a preorder M_i and M_j are mutually comparable iff their leq rows are
+    equal, so the classes are the groups of equal rows.
+    """
+    classes: dict[tuple[bool, ...], list[int]] = {}
+    for i, row in enumerate(table.leq):
+        classes.setdefault(row, []).append(i)
+    return list(classes.values())
 
 
 def hasse_dot(table: PreorderTable) -> str:
@@ -234,9 +210,11 @@ def check_conjectures(table: PreorderTable) -> ConjectureReport:
 
     anti = tuple(
         (matchings[i], matchings[j])
-        for i in range(size)
-        for j in range(i + 1, size)
-        if table.leq[i][j] and table.leq[j][i]
+        for i, j in sorted(
+            pair
+            for cls in _comparability_classes(table)
+            for pair in itertools.combinations(cls, 2)
+        )
     )
 
     succ: list[list[int]] = [

@@ -130,6 +130,12 @@ _VALIDATION_MESSAGES = [
         lambda: SpanningFactor(3, 1, {(4, 1)}),
         "edge (1,4) out of range for n=3",
     ),
+    ("SpanningFactor-n-0", lambda: SpanningFactor(0, 1, set()), "factor needs at least one vertex"),
+    (
+        "SpanningFactor-n-below-1",
+        lambda: SpanningFactor(-3, 2, set()),
+        "factor needs at least one vertex",
+    ),
     (
         "SpanningFactor-degree",
         lambda: SpanningFactor(4, 1, {(1, 2)}),

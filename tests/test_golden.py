@@ -1,5 +1,5 @@
 """Byte-identity pins for the inequality reports, the constructive realizers,
-the switch calculus and the exact f-factor oracle.
+the switch calculus, the exact f-factor oracle and the matching preorder.
 
 Each test streams canonical text for a fixed corpus through SHA-256 and
 compares against a digest recorded from a known-good build.  A refactor of
@@ -22,9 +22,12 @@ from degmatch import (
     InvariantViolation,
     LabeledGraph,
     all_switches,
+    build_preorder,
+    check_conjectures,
     classify_switch,
     complete_graph,
     graph_to_text,
+    hasse_dot,
     hh_realize,
     lift_switch,
     pack,
@@ -36,6 +39,8 @@ from degmatch import (
     switch_path,
 )
 
+from degmatch.preorder import realizability_matrix
+
 from oracles import max_matching
 
 REPORTS_DIGEST = "960f23ca45e0698cd85d031346380c338681670b30f1bfd9ed7c5099cdba8455"
@@ -43,6 +48,7 @@ REALIZERS_DIGEST = "961a0f44246a4ef1fa3dc9b62decc531634c409c6f0101c1b0b0c3d9d403
 LIFT_DIGEST = "2355af43de5bc33330d1c16d9e6e69d3c5fb904619f72d09b9564f69a3d8f9c3"
 SWITCH_DIGEST = "5d0ae3ca6d44255d2c7237e8116cc43039eec952ed9f4e7f7c284fa8b7f1080f"
 ORACLE_DIGEST = "e001657917806d555d59c672b88b00dde463b6a996c6a6acc425e3a850b6f21a"
+PREORDER_DIGEST = "3e18725c595733c45d8c6f7d37cebf1b0dcc1d19a45438c3d98d2331d524534c"
 
 
 def _random_sequence(rng: random.Random, n: int, lo: int) -> DegreeSequence:
@@ -230,6 +236,24 @@ def _oracle_lines():
         yield "None" if packed is None else text(packed[0]) + text(packed[1])
 
 
+def _preorder_lines():
+    """The preorder tables, their Hasse diagrams and conjecture reports.
+
+    build_preorder, hasse_dot and check_conjectures for n = 2, 4, 6, 8, then
+    realizability_matrix over every sequence of length n = 2, 4, 6, those
+    failing Lovasz's test included, one row per sequence.
+    """
+    for n in (2, 4, 6, 8):
+        table = build_preorder(n)
+        yield json.dumps(table.as_dict())
+        yield hasse_dot(table)
+        yield json.dumps(check_conjectures(table).as_dict())
+    for n in (2, 4, 6):
+        rows = realizability_matrix(tuple(degree_sequences(n)), tuple(perfect_matchings(n)))
+        for row in rows:
+            yield "".join("1" if hit else "0" for hit in row)
+
+
 def test_report_stream_digest():
     assert _digest(_report_lines()) == REPORTS_DIGEST
 
@@ -251,3 +275,7 @@ def test_switch_stream_digest():
 
 def test_oracle_stream_digest():
     assert _digest(_oracle_lines()) == ORACLE_DIGEST
+
+
+def test_preorder_stream_digest():
+    assert _digest(_preorder_lines()) == PREORDER_DIGEST
